@@ -20,7 +20,7 @@ import numpy as np
 
 from . import domains
 from .domains import Domain
-from .pipeline import TrainingExample
+from .pipeline import TrainingExample, squared_distances
 from .search import HeuristicEvaluator
 from .util import derive_seed
 
@@ -68,9 +68,9 @@ def predict_batch(model: ResidualModel, features: np.ndarray | Sequence[Sequence
         return z @ model.weights + model.bias
     # k nearest stored neighbors by Euclidean distance; stable sort keeps
     # insertion order on distance ties.
-    d2 = ((z[:, None, :] - model.neighbors[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    nearest = order[:, : model.k]
+    nearest = np.empty((len(z), model.k), dtype=np.intp)
+    for start, d2 in squared_distances(z, model.neighbors):
+        nearest[start : start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
     return model.targets[nearest].mean(axis=1)
 
 
@@ -163,7 +163,6 @@ class LearnedHeuristic(HeuristicEvaluator):
     cache_capacity None means unbounded, 0 disables caching entirely.
     """
 
-    shareable = True
     cacheable = True
 
     def __init__(
@@ -256,21 +255,57 @@ def save_model(model: ResidualModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _model_array(path: str | Path, record: dict, name: str, ndim: int) -> np.ndarray:
+    try:
+        array = np.array(record.get(name), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: model field '{name}' is not a numeric array") from exc
+    if array.ndim != ndim:
+        raise ValueError(f"{path}: model field '{name}' has {array.ndim} dimensions, expected {ndim}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{path}: model field '{name}' has non-finite values")
+    return array
+
+
 def load_model(path: str | Path) -> ResidualModel:
+    """Read a saved model, rejecting files whose arrays disagree in shape,
+    hold non-finite values, or whose k-NN ``k`` is outside 1..len(neighbors)."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
     if record.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a model file")
     if record.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {record.get('version')}")
-    return ResidualModel(
+    mu = _model_array(path, record, "mu", 1)
+    sigma = _model_array(path, record, "sigma", 1)
+    if len(sigma) != len(mu):
+        raise ValueError(f"{path}: model field 'sigma' has {len(sigma)} entries, 'mu' has {len(mu)}")
+    if np.any(sigma <= 0):
+        raise ValueError(f"{path}: model field 'sigma' has entries <= 0")
+    model = ResidualModel(
         kind=ModelKind(record["kind"]),
         domain=Domain(record["domain"]),
-        mu=np.array(record["mu"], dtype=float),
-        sigma=np.array(record["sigma"], dtype=float),
+        mu=mu,
+        sigma=sigma,
         k=record["k"],
-        neighbors=None if record["neighbors"] is None else np.array(record["neighbors"], dtype=float),
-        targets=None if record["targets"] is None else np.array(record["targets"], dtype=float),
-        weights=None if record["weights"] is None else np.array(record["weights"], dtype=float),
         bias=record["bias"],
         manifest=record["manifest"],
     )
+    if model.kind is ModelKind.KNN:
+        model.neighbors = _model_array(path, record, "neighbors", 2)
+        model.targets = _model_array(path, record, "targets", 1)
+        n = len(model.neighbors)
+        if model.neighbors.shape[1] != len(mu):
+            raise ValueError(
+                f"{path}: model field 'neighbors' has {model.neighbors.shape[1]} columns, 'mu' has {len(mu)} entries"
+            )
+        if len(model.targets) != n:
+            raise ValueError(f"{path}: model field 'targets' has {len(model.targets)} entries, 'neighbors' has {n} rows")
+        if type(model.k) is not int or not 1 <= model.k <= n:
+            raise ValueError(f"{path}: model field 'k' is {model.k!r}, expected an integer in 1..{n}")
+    else:
+        model.weights = _model_array(path, record, "weights", 1)
+        if len(model.weights) != len(mu):
+            raise ValueError(f"{path}: model field 'weights' has {len(model.weights)} entries, 'mu' has {len(mu)}")
+        if not math.isfinite(model.bias):
+            raise ValueError(f"{path}: model field 'bias' is not finite")
+    return model

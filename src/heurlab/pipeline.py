@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -242,6 +242,27 @@ def select_with_budget(
 # ---------------------------------------------------------------------------
 # Dedup-based selection over feature vectors
 
+# Most float64 elements the (rows, m, d) difference temporary of one row block
+# may hold (1 MiB); a block is at least one row.
+DISTANCE_BLOCK_FLOATS = 1 << 17
+
+
+def squared_distances(queries: np.ndarray, points: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, d2)`` over row blocks of ``queries``, where ``d2[i, j]``
+    is the squared Euclidean distance from ``queries[start + i]`` to
+    ``points[j]``.
+
+    Each row sums its own contiguous ``d`` axis, so the values are the same
+    bits as one full ``(n, m, d)`` broadcast, at bounded memory.
+    """
+    m, d = points.shape
+    rows = max(1, DISTANCE_BLOCK_FLOATS // max(1, m * d))
+    for start in range(0, len(queries), rows):
+        diff = queries[start : start + rows, None, :] - points[None, :, :]
+        np.square(diff, out=diff)
+        yield start, diff.sum(axis=2)
+
+
 def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iterations with seeded initialization.
 
@@ -253,8 +274,9 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[
     centroids = vectors[rng.sample(range(n), k)].astype(float)
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
-        d2 = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
+        new_labels = np.empty(n, dtype=int)
+        for start, d2 in squared_distances(vectors, centroids):
+            new_labels[start : start + len(d2)] = d2.argmin(axis=1)
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels
@@ -273,36 +295,42 @@ def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
     return np.clip(sim, -1.0, 1.0)
 
 
-def _dedup_survivors(vectors: np.ndarray, labels: np.ndarray, centroids: np.ndarray, threshold: float) -> list[int]:
+def _cluster_geometry(vectors: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> list[tuple]:
+    """Per non-empty cluster: member indices, their cosine matrix and their
+    distances to the centroid. Built once, reused at every dedup threshold;
+    the matrices together hold the sum of the squared cluster sizes."""
+    clusters = []
+    for c in range(len(centroids)):
+        idxs = np.flatnonzero(labels == c)
+        if len(idxs) == 0:
+            continue
+        local = vectors[idxs]
+        dist = np.linalg.norm(local - centroids[c][None, :], axis=1)
+        clusters.append((idxs, _cosine_matrix(local), dist.tolist()))
+    return clusters
+
+
+def _dedup_survivors(clusters: list[tuple], threshold: float) -> list[int]:
     """Indices kept after near-duplicate removal within each cluster.
 
     For a too-similar pair the member closer to its centroid goes, keeping the
     outskirts of each cluster, a denser spread of distinct situations.
     """
     survivors = []
-    for c in range(len(centroids)):
-        idxs = np.flatnonzero(labels == c)
-        if len(idxs) == 0:
-            continue
-        if len(idxs) == 1:
-            survivors.append(int(idxs[0]))
-            continue
-        local = vectors[idxs]
-        sim = _cosine_matrix(local)
-        dist = np.linalg.norm(local - centroids[c][None, :], axis=1)
+    for idxs, sim, dist in clusters:
+        above = np.triu(sim > threshold, 1)
         alive = [True] * len(idxs)
         for a in range(len(idxs)):
             if not alive[a]:
                 continue
-            for b in range(a + 1, len(idxs)):
+            for b in np.flatnonzero(above[a]).tolist():
                 if not alive[b]:
                     continue
-                if sim[a, b] > threshold:
-                    # Drop the one nearer the centroid; ties drop the earlier index.
-                    if (dist[a], a) <= (dist[b], b):
-                        alive[a] = False
-                        break
-                    alive[b] = False
+                # Drop the one nearer the centroid; ties drop the earlier index.
+                if (dist[a], a) <= (dist[b], b):
+                    alive[a] = False
+                    break
+                alive[b] = False
         survivors.extend(int(idxs[i]) for i in range(len(idxs)) if alive[i])
     return sorted(survivors)
 
@@ -330,11 +358,12 @@ def semdedup_select(
     vectors = np.array([ex.feature_vector for ex in pool], dtype=float)
     k = n_clusters if n_clusters is not None else math.ceil(len(pool) / 200)
     labels, centroids = kmeans(vectors, k, derive_seed(seed, "kmeans"))
+    clusters = _cluster_geometry(vectors, labels, centroids)
     threshold = similarity_threshold
-    survivors = _dedup_survivors(vectors, labels, centroids, threshold)
+    survivors = _dedup_survivors(clusters, threshold)
     while len(survivors) < budget and threshold < 1.0:
         threshold = min(1.0, round(threshold + 0.01, 10))
-        survivors = _dedup_survivors(vectors, labels, centroids, threshold)
+        survivors = _dedup_survivors(clusters, threshold)
     if len(survivors) > budget:
         rng = random.Random(derive_seed(seed, "downsample"))
         keep = sorted(rng.sample(range(len(survivors)), budget))

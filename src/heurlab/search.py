@@ -79,13 +79,11 @@ class SearchResult:
 class HeuristicEvaluator:
     """Batch heuristic interface consumed by the engine.
 
-    ``shareable`` marks evaluators safe to reuse across concurrent searches.
     ``cacheable`` lets the engine reuse a state's value within one search, so
     each distinct state is evaluated at most once; evaluators whose value is
     not a pure function of the state opt out.
     """
 
-    shareable: bool = True
     cacheable: bool = True
 
     def evaluate_batch(self, states, instance, gs) -> list[float]:

@@ -131,6 +131,18 @@ def test_solve_learned_round_trip(split_dir, model_file, tmp_path):
     assert all(r["status"] == "solution_found" for r in read_jsonl(out))
 
 
+def test_solve_rejects_inconsistent_model_with_exit_3(split_dir, model_file, tmp_path, capsys):
+    record = json.loads(Path(model_file).read_text())
+    record["k"] = 0
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(record))
+    out = tmp_path / "runs.jsonl"
+    argv = ["solve", "--instances", split_dir, "--out", out, "--heuristic", "learned", "--model", bad]
+    assert run_cli(argv) == 3
+    assert "model field 'k' is 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # extract / sample / train / eval / export-prompts
 

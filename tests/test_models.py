@@ -1,6 +1,8 @@
 """Residual models: fitting, prediction, the search evaluator, persistence."""
 
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -348,3 +350,53 @@ def test_load_rejects_foreign_and_future_files(tmp_path):
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError, match="unsupported model version"):
         load_model(path)
+
+
+def _saved_record(tmp_path, kind):
+    model = train_residual_model(_linear_examples(60, seed=8), kind=kind, k=4, seed=3)
+    path = tmp_path / f"{kind}.json"
+    save_model(model, path)
+    return path, json.loads(path.read_text())
+
+
+def _write(path, record):
+    path.write_text(json.dumps(record))
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt, message",
+    [
+        ("knn", lambda r: r["mu"].append(0.0), "'sigma' has 2 entries, 'mu' has 3"),
+        ("knn", lambda r: r["sigma"].pop(), "'sigma' has 1 entries, 'mu' has 2"),
+        ("knn", lambda r: r["sigma"].__setitem__(1, 0.0), "'sigma' has entries <= 0"),
+        ("knn", lambda r: r["sigma"].__setitem__(0, -1.0), "'sigma' has entries <= 0"),
+        ("knn", lambda r: [row.append(1.0) for row in r["neighbors"]], "'neighbors' has 3 columns, 'mu' has 2"),
+        ("knn", lambda r: r["neighbors"][0].pop(), "'neighbors' is not a numeric array"),
+        ("knn", lambda r: r.__setitem__("neighbors", None), "'neighbors' has 0 dimensions, expected 2"),
+        ("knn", lambda r: r["targets"].pop(), "'targets' has 53 entries, 'neighbors' has 54 rows"),
+        ("knn", lambda r: r["targets"].__setitem__(2, float("nan")), "'targets' has non-finite values"),
+        ("knn", lambda r: r["neighbors"][1].__setitem__(0, float("inf")), "'neighbors' has non-finite values"),
+        ("knn", lambda r: r["mu"].__setitem__(0, float("-inf")), "'mu' has non-finite values"),
+        ("knn", lambda r: r.__setitem__("k", 0), "'k' is 0, expected an integer in 1..54"),
+        ("knn", lambda r: r.__setitem__("k", 55), "'k' is 55, expected an integer in 1..54"),
+        ("knn", lambda r: r.__setitem__("k", 2.5), "'k' is 2.5, expected an integer in 1..54"),
+        ("linear", lambda r: r["weights"].append(1.0), "'weights' has 3 entries, 'mu' has 2"),
+        ("linear", lambda r: r["weights"].__setitem__(0, float("nan")), "'weights' has non-finite values"),
+        ("linear", lambda r: r.__setitem__("bias", float("inf")), "'bias' is not finite"),
+    ],
+)
+def test_load_rejects_inconsistent_model_files(tmp_path, kind, corrupt, message):
+    path, record = _saved_record(tmp_path, kind)
+    assert len(record["mu"]) == 2 and (kind == "linear" or len(record["neighbors"]) == 54)
+    corrupt(record)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: model field {message}")):
+        load_model(_write(path, record))
+
+
+def test_load_accepts_k_equal_to_neighbor_count(tmp_path):
+    path, record = _saved_record(tmp_path, "knn")
+    record["k"] = len(record["neighbors"])
+    back = load_model(_write(path, record))
+    # Every neighbour votes: the prediction is the mean of all targets.
+    assert np.allclose(predict_batch(back, np.zeros((1, 2))), np.mean(record["targets"]))
