@@ -7,7 +7,7 @@ file, or HEURLAB_SEED), so reruns with the same configuration reproduce all
 non-timing outputs byte for byte.
 
 Exit codes: 0 success, 1 a requested assertion failed, 2 usage error,
-3 runtime failure.
+3 runtime failure (with HEURLAB_DEBUG=1 its traceback is printed first).
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file for --heuristic learned")
     p.add_argument("--references", help="reference file; computed (and saved here) when missing")
     p.add_argument("--eval-seeds", type=int, default=1, help="independent timing repeats")
-    p.add_argument("--cache-size", type=int, help="learned-heuristic cache entries (0 disables)")
     p.add_argument("--no-residual-floor", action="store_true")
     p.add_argument("--round-predictions", action="store_true")
     p.add_argument("--max-iterations", type=int)
@@ -272,12 +271,9 @@ def _evaluator_factory(args, model=None):
         return lambda inst: ZeroHeuristic()
     if model is None:
         raise UsageError("--heuristic learned needs --model")
-    cache = getattr(args, "cache_size", None)
     floor = not getattr(args, "no_residual_floor", False)
     round_preds = getattr(args, "round_predictions", False)
-    return lambda inst: models.learned_heuristic(
-        model, cache_capacity=cache, floor_at_zero=floor, round_predictions=round_preds
-    )
+    return lambda inst: models.learned_heuristic(model, floor_at_zero=floor, round_predictions=round_preds)
 
 
 def _result_row(instance_id: str, res) -> dict:
@@ -652,6 +648,10 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         return 130
     except Exception as exc:
+        if os.environ.get("HEURLAB_DEBUG") == "1":
+            import traceback  # only on this path, to keep start-up lean
+
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,7 +2,7 @@
 
 The models predict d* = h* - quick_h from a state's feature vector; at search
 time the evaluator returns quick_h + max(0, prediction) per state, batched once
-per expansion and memoized by state key.
+per expansion.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import domains
 from .domains import Domain
-from .pipeline import TrainingExample, squared_distances
+from .pipeline import TrainingExample, nearest_neighbors, prepare_points
 from .search import HeuristicEvaluator
 from .util import derive_seed
 
@@ -57,6 +57,11 @@ class ResidualModel:
             )
         return (features - self.mu) / self.sigma
 
+    @cached_property
+    def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``prepare_points(neighbors)``, built once per model; not saved."""
+        return prepare_points(self.neighbors)
+
 
 def predict_batch(model: ResidualModel, features: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
     """Predicted residuals for a feature matrix, one row per state."""
@@ -66,11 +71,8 @@ def predict_batch(model: ResidualModel, features: np.ndarray | Sequence[Sequence
     z = model.standardize(x)
     if model.kind is ModelKind.LINEAR:
         return z @ model.weights + model.bias
-    # k nearest stored neighbors by Euclidean distance; stable sort keeps
-    # insertion order on distance ties.
-    nearest = np.empty((len(z), model.k), dtype=np.intp)
-    for start, d2 in squared_distances(z, model.neighbors):
-        nearest[start : start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    # k nearest stored neighbors by Euclidean distance; ties keep insertion order.
+    nearest = nearest_neighbors(z, model.neighbors, model.k, model.neighbor_index)
     return model.targets[nearest].mean(axis=1)
 
 
@@ -157,81 +159,41 @@ def train_residual_model(
 # Search-time evaluator
 
 class LearnedHeuristic(HeuristicEvaluator):
-    """quick_heuristic + floored model residual, with an LRU value cache.
-
-    One predict_batch call per evaluate_batch covers every uncached state.
-    cache_capacity None means unbounded, 0 disables caching entirely.
-    """
+    """quick_heuristic + floored model residual; one predict_batch call per
+    evaluate_batch. The search engine reuses each state's value within a
+    search (``cacheable``)."""
 
     cacheable = True
 
-    def __init__(
-        self,
-        model: ResidualModel,
-        cache_capacity: int | None = None,
-        floor_at_zero: bool = True,
-        round_predictions: bool = False,
-    ):
-        if cache_capacity is not None and cache_capacity < 0:
-            raise ValueError("cache_capacity must be nonnegative")
+    def __init__(self, model: ResidualModel, floor_at_zero: bool = True, round_predictions: bool = False):
         self.model = model
-        self.cache_capacity = cache_capacity
         self.floor_at_zero = floor_at_zero
         self.round_predictions = round_predictions
-        self.cache: OrderedDict[bytes, float] = OrderedDict()
         self.model_invocations = 0
 
-    def _cache_get(self, key: bytes) -> float | None:
-        if self.cache_capacity == 0:
-            return None
-        value = self.cache.get(key)
-        if value is not None:
-            self.cache.move_to_end(key)
-        return value
-
-    def _cache_put(self, key: bytes, value: float) -> None:
-        if self.cache_capacity == 0:
-            return
-        self.cache[key] = value
-        self.cache.move_to_end(key)
-        if self.cache_capacity is not None:
-            while len(self.cache) > self.cache_capacity:
-                self.cache.popitem(last=False)
-
     def evaluate_batch(self, states, instance, gs):
-        out: list[float | None] = []
-        misses: list[int] = []
-        keys = [domains.state_key(s) for s in states]
-        for i, key in enumerate(keys):
-            out.append(self._cache_get(key))
-            if out[-1] is None:
-                misses.append(i)
-        if misses:
-            feats = np.array([domains.feature_vector(states[i], instance) for i in misses], dtype=float)
-            preds = predict_batch(self.model, feats)
-            self.model_invocations += 1
-            for i, pred in zip(misses, preds):
-                residual = float(pred)
-                if self.floor_at_zero:
-                    residual = max(0.0, residual)
-                if self.round_predictions:
-                    residual = float(round(residual))
-                value = float(domains.quick_heuristic(states[i], instance)) + residual
-                self._cache_put(keys[i], value)
-                out[i] = value
-        return out
+        if not states:
+            return []
+        # Column 0 of every domain's feature vector is its quick heuristic.
+        feats = np.array([domains.feature_vector(s, instance) for s in states], dtype=float)
+        preds = predict_batch(self.model, feats)
+        self.model_invocations += 1
+        if self.floor_at_zero:
+            preds = np.maximum(preds, 0.0)
+        if self.round_predictions:
+            preds = np.round(preds)
+        return (feats[:, 0] + preds).tolist()
 
 
 def learned_heuristic(
     model: ResidualModel,
     domain: Domain | None = None,
-    cache_capacity: int | None = None,
     floor_at_zero: bool = True,
     round_predictions: bool = False,
 ) -> LearnedHeuristic:
     if domain is not None and model.domain is not Domain(domain):
         raise ValueError(f"model was trained for {model.domain.value}, not {Domain(domain).value}")
-    return LearnedHeuristic(model, cache_capacity, floor_at_zero, round_predictions)
+    return LearnedHeuristic(model, floor_at_zero, round_predictions)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -242,31 +242,86 @@ def select_with_budget(
 # ---------------------------------------------------------------------------
 # Dedup-based selection over feature vectors
 
-# Most float64 elements the (rows, m, d) difference temporary of one row block
-# may hold (1 MiB); a block is at least one row.
+# Most float64 elements the temporaries of one row block may hold together
+# (1 MiB): a block's (rows, m) screen arrays take at most an eighth each, and
+# the exact recompute works through its survivors in chunks of this size.
 DISTANCE_BLOCK_FLOATS = 1 << 17
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
 
-def squared_distances(queries: np.ndarray, points: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, d2)`` over row blocks of ``queries``, where ``d2[i, j]``
-    is the squared Euclidean distance from ``queries[start + i]`` to
-    ``points[j]``.
 
-    Each row sums its own contiguous ``d`` axis, so the values are the same
-    bits as one full ``(n, m, d)`` broadcast, at bounded memory.
+def prepare_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-point data ``nearest_neighbors`` screens with: a contiguous
+    transposed copy (so the screen is one plain GEMM) and the squared norms.
+    Worth keeping when the same points are searched many times."""
+    return np.ascontiguousarray(points.T), np.einsum("ij,ij->i", points, points)
+
+
+def nearest_neighbors(
+    queries: np.ndarray,
+    points: np.ndarray,
+    k: int,
+    prepared: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Indices of the ``k`` nearest ``points`` to each query, ordered by
+    (squared Euclidean distance, index): the first ``k`` columns of a stable
+    argsort over the full-broadcast ``((q - p) ** 2).sum()``, bit for bit.
+
+    Per row block of queries, a screen ``|q|² + |p|² - 2 q·p`` with a rounding
+    bound ``err`` keeps every point whose lower bound is not above the k-th
+    smallest upper bound; only those survivors get the exact row-major
+    ``(q - p)²`` sum, which is then sorted. ``prepared`` is
+    ``prepare_points(points)``, computed here when not given.
+
+    The bound. With unit roundoff u = eps/2, γ_n = n·u/(1 - n·u) and
+    S = |q|² + |p|², each of |q|², |p|² and q·p (any summation order, with or
+    without FMA) is off by at most γ_d times its sum of absolute products,
+    which totals γ_d·S for the norms and γ_d·S for 2·q·p; the two final
+    additions add u·S and 2u·S more. The exact sum itself is off from the
+    true distance D by γ_(d+2)·D, with D <= 2S. So |screen - exact| <=
+    (2γ_d + 3u + 2γ_(d+2))·S ≈ (2d + 3.5)·eps·S <= 2(d + 4)·eps·S. ``err``
+    takes 8(d + 4)·eps·S, four times that, to cover its own rounding; the
+    absolute term 8(d + 4)·2⁻¹⁰⁷⁴ covers the products that underflow into
+    subnormals, each off by at most half of 2⁻¹⁰⁷⁴. Writing the test as
+    ``~(lower > kth)`` sends NaN and inf screens to the exact path.
     """
     m, d = points.shape
-    rows = max(1, DISTANCE_BLOCK_FLOATS // max(1, m * d))
+    if not 1 <= k <= m:
+        raise ValueError(f"k={k} must lie in 1..{m}")
+    points_t, points_sq = prepare_points(points) if prepared is None else prepared
+    scale = 8.0 * (d + 4)
+    rows = max(1, DISTANCE_BLOCK_FLOATS // (8 * m))
+    chunk = max(1, DISTANCE_BLOCK_FLOATS // max(1, d))
+    nearest = np.empty((len(queries), k), dtype=np.intp)
     for start in range(0, len(queries), rows):
-        diff = queries[start : start + rows, None, :] - points[None, :, :]
-        np.square(diff, out=diff)
-        yield start, diff.sum(axis=2)
+        q = queries[start : start + rows]
+        err = np.add.outer(np.einsum("ij,ij->i", q, q), points_sq)
+        approx = q @ points_t
+        approx *= -2.0
+        approx += err
+        err *= scale * _EPS
+        err += scale * _TINY
+        kth = np.partition(approx + err, k - 1, axis=1)[:, k - 1, None]
+        lower = np.subtract(approx, err, out=approx)
+        row, col = np.divmod(np.flatnonzero(~(lower > kth)), m)
+        d2 = np.empty(len(row))
+        for s in range(0, len(row), chunk):
+            diff = q[row[s : s + chunk]] - points[col[s : s + chunk]]
+            np.square(diff, out=diff)
+            d2[s : s + chunk] = diff.sum(axis=1)
+        # Every row keeps at least k survivors, grouped by row after the sort.
+        order = np.lexsort((col, d2, row))
+        first = np.searchsorted(row, np.arange(len(q)))
+        nearest[start : start + len(q)] = col[order][first[:, None] + np.arange(k)]
+    return nearest
 
 
 def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iterations with seeded initialization.
 
-    Returns (labels, centroids). Empty clusters keep their previous centroid.
+    Returns (labels, centroids). Empty clusters keep their previous centroid;
+    a point equally near several centroids joins the first.
     """
     n = len(vectors)
     k = max(1, min(k, n))
@@ -274,9 +329,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[
     centroids = vectors[rng.sample(range(n), k)].astype(float)
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
-        new_labels = np.empty(n, dtype=int)
-        for start, d2 in squared_distances(vectors, centroids):
-            new_labels[start : start + len(d2)] = d2.argmin(axis=1)
+        new_labels = nearest_neighbors(vectors, centroids, 1)[:, 0]
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels

@@ -143,6 +143,25 @@ def test_solve_rejects_inconsistent_model_with_exit_3(split_dir, model_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("debug", [None, "1"])
+def test_debug_env_prints_traceback_before_exit_3(split_dir, model_file, tmp_path, capsys, monkeypatch, debug):
+    if debug is None:
+        monkeypatch.delenv("HEURLAB_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("HEURLAB_DEBUG", debug)
+    bad = tmp_path / "truncated_model.json"
+    bad.write_text(Path(model_file).read_text()[:200])
+    argv = ["solve", "--instances", split_dir, "--out", tmp_path / "runs.jsonl",
+            "--heuristic", "learned", "--model", bad]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert ("Traceback (most recent call last)" in err) == (debug == "1")
+    if debug:
+        assert "JSONDecodeError" in err
+        assert err.index("Traceback") < err.index("error:")
+
+
 # ---------------------------------------------------------------------------
 # extract / sample / train / eval / export-prompts
 

@@ -1,5 +1,6 @@
 """Residual models: fitting, prediction, the search evaluator, persistence."""
 
+import itertools
 import json
 import random
 import re
@@ -252,46 +253,90 @@ def test_goal_state_keeps_zero_heuristic():
 
 
 def test_cache_batches_one_model_call_per_evaluate(maze_train_150, maze_pool_150):
+    # The engine memoises values within a search; the evaluator makes exactly
+    # one predict_batch call for each evaluate_batch, whatever its size.
     model = train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
     inst = maze_train_150[1]
     evaluator = LearnedHeuristic(model)
     states = [s for _, s in domains.successors(inst.start_state, inst)]
     first = evaluator.evaluate_batch(states, inst, [1] * len(states))
     assert evaluator.model_invocations == 1
-    # Fully cached re-query does not touch the model.
-    second = evaluator.evaluate_batch(states, inst, [1] * len(states))
-    assert second == first
-    assert evaluator.model_invocations == 1
-    # A mixed batch costs exactly one more invocation.
-    more = [inst.start_state] + states
-    evaluator.evaluate_batch(more, inst, [0] * len(more))
+    assert evaluator.evaluate_batch(states, inst, [1] * len(states)) == first
+    assert evaluator.model_invocations == 2
+    assert evaluator.evaluate_batch([], inst, []) == []
     assert evaluator.model_invocations == 2
 
 
-def test_cache_capacity_zero_disables_caching(maze_train_150, maze_pool_150):
-    model = train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
-    inst = maze_train_150[2]
-    uncached = LearnedHeuristic(model, cache_capacity=0)
-    state = inst.start_state
-    uncached.evaluate_batch([state], inst, [0])
-    uncached.evaluate_batch([state], inst, [0])
-    assert uncached.model_invocations == 2
-    assert len(uncached.cache) == 0
-    assert uncached.cacheable is True  # engine-side reuse still applies
+def _sampled_states(instances, n_walks, walk_len, seed):
+    """(state, instance) pairs along seeded random walks from start states."""
+    rng = random.Random(seed)
+    out = []
+    for inst in rng.sample(list(instances), n_walks):
+        state = inst.start_state
+        for _ in range(walk_len):
+            out.append((state, inst))
+            children = [child for _, child in domains.successors(state, inst)]
+            if not children:
+                break
+            state = rng.choice(children)
+    return out
 
 
-def test_cache_capacity_evicts_least_recent():
-    inst = _tiny_maze()
-    model = _half_bias_model()
-    evaluator = LearnedHeuristic(model, cache_capacity=2)
-    cells = [MazeState((1, 1)), MazeState((1, 2)), MazeState((2, 1))]
-    for cell in cells:
-        evaluator.evaluate_batch([cell], inst, [0])
-    assert len(evaluator.cache) == 2
-    assert cells[0].key() not in evaluator.cache
-    assert cells[2].key() in evaluator.cache
-    with pytest.raises(ValueError):
-        LearnedHeuristic(model, cache_capacity=-1)
+@pytest.fixture(scope="module")
+def sampled_states(maze_train_150, stp_200, sokoban_100):
+    return {
+        "maze": _sampled_states(maze_train_150, 8, 25, seed=1),
+        "stp": _sampled_states(stp_200, 8, 25, seed=2),
+        "sokoban": _sampled_states(sokoban_100, 8, 25, seed=3),
+    }
+
+
+@pytest.mark.parametrize("domain", ["maze", "stp", "sokoban"])
+def test_feature_column_zero_is_quick_heuristic(sampled_states, domain):
+    # LearnedHeuristic reads quick_h from column 0 instead of recomputing it.
+    states = sampled_states[domain]
+    assert len(states) > 100
+    for state, inst in states:
+        assert domains.feature_vector(state, inst)[0] == float(domains.quick_heuristic(state, inst))
+
+
+@pytest.mark.parametrize("floor, rounding", [(True, False), (False, False), (True, True), (False, True)])
+def test_learned_batch_matches_per_state_formula(sampled_states, floor, rounding):
+    # The batched floor/round reproduces quick_h + residual computed state by
+    # state, with the residual floored then rounded as the flags say.
+    states = sampled_states["sokoban"]
+    rng = np.random.default_rng(4)
+    dims = len(domains.feature_vector(*states[0]))
+    model = ResidualModel(
+        kind=ModelKind.LINEAR,
+        domain=Domain.SOKOBAN,
+        mu=np.zeros(dims),
+        sigma=np.ones(dims),
+        weights=rng.normal(scale=0.3, size=dims),
+        bias=-1.5,
+    )
+    evaluator = LearnedHeuristic(model, floor_at_zero=floor, round_predictions=rounding)
+    quick, expected, values = [], [], []
+    for _, walk in itertools.groupby(states, key=lambda pair: id(pair[1])):
+        walk = list(walk)
+        inst = walk[0][1]
+        for i in range(0, len(walk), 4):
+            batch = [s for s, _ in walk[i : i + 4]]
+            values.extend(evaluator.evaluate_batch(batch, inst, [0] * len(batch)))
+            # The same batch through predict_batch: a linear model's GEMV may
+            # round differently for another number of rows.
+            preds = predict_batch(model, [domains.feature_vector(s, inst) for s in batch])
+            for state, pred in zip(batch, preds):
+                quick.append(float(domains.quick_heuristic(state, inst)))
+                residual = float(pred)
+                if floor:
+                    residual = max(0.0, residual)
+                if rounding:
+                    residual = float(round(residual))
+                expected.append(quick[-1] + residual)
+    assert values == expected
+    below = [v < q for v, q in zip(values, quick)]
+    assert not any(below) if floor else any(below)
 
 
 def test_learned_heuristic_domain_guard():
