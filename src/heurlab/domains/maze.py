@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from .base import (
     DIRECTIONS,
     Cell,
@@ -42,19 +40,40 @@ def quick_heuristic(state: MazeState, instance: PuzzleInstance) -> int:
     return manhattan(state.player, instance.goal_spec)
 
 
-def bfs_distances(walls, start: Cell) -> dict[Cell, int]:
-    """Exact unit-cost distances from ``start`` over open cells."""
+def bfs_distances(walls, start: Cell) -> list[int]:
+    """Exact unit-cost distances from ``start`` over open cells.
+
+    Indexed by flat cell ``r * width + c``; -1 marks a wall or an open cell
+    that ``start`` cannot reach.
+    """
     h, w = len(walls), len(walls[0])
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        r, c = queue.popleft()
-        d = dist[(r, c)]
-        for _, (dr, dc) in DIRECTIONS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and not walls[nr][nc] and (nr, nc) not in dist:
-                dist[(nr, nc)] = d + 1
-                queue.append((nr, nc))
+    n = h * w
+    blocked = [cell for row in walls for cell in row]
+    dist = [-1] * n
+    origin = start[0] * w + start[1]
+    dist[origin] = 0
+    queue = [origin]
+    last = w - 1
+    for i in queue:  # grows while it is walked: a FIFO without popping
+        d = dist[i] + 1
+        # Neighbours in DIRECTIONS order; the column tests stop row wrap-around.
+        j = i - w
+        if j >= 0 and dist[j] < 0 and not blocked[j]:
+            dist[j] = d
+            queue.append(j)
+        j = i + w
+        if j < n and dist[j] < 0 and not blocked[j]:
+            dist[j] = d
+            queue.append(j)
+        col = i % w
+        j = i - 1
+        if col and dist[j] < 0 and not blocked[j]:
+            dist[j] = d
+            queue.append(j)
+        j = i + 1
+        if col < last and dist[j] < 0 and not blocked[j]:
+            dist[j] = d
+            queue.append(j)
     return dist
 
 

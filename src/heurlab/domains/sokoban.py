@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from .base import (
     DIRECTIONS,
     Domain,
@@ -18,6 +20,11 @@ from .hungarian import hungarian_min_cost
 LEGEND = "@ - player, # - wall, . - empty docks, ' ' - empty cell, $ - box, X - box on dock, O - player on dock"
 
 GLYPHS = frozenset("#@$.XO ")
+
+# Box configurations whose assignment cost is remembered. A search revisits a
+# configuration on every move that pushes no box, so most assignment solves
+# would repeat an earlier one.
+ASSIGNMENT_CACHE_SIZE = 4096
 
 
 def successors(state: SokobanState, instance: PuzzleInstance):
@@ -59,9 +66,15 @@ def quick_heuristic(state: SokobanState, instance: PuzzleInstance) -> int:
         return 0
     player = state.player
     nearest = min(manhattan(player, box) for box in state.boxes)
-    costs = [[manhattan(box, dock) for dock in docks] for box in state.boxes]
+    return max(0, nearest - 1) + _assignment_cost(state.boxes, docks)
+
+
+@functools.lru_cache(maxsize=ASSIGNMENT_CACHE_SIZE)
+def _assignment_cost(boxes, docks) -> int:
+    """Minimum total Manhattan distance over box-to-dock assignments."""
+    costs = [[manhattan(box, dock) for dock in docks] for box in boxes]
     _, total = hungarian_min_cost(costs)
-    return max(0, nearest - 1) + int(total)
+    return int(total)
 
 
 def render_ascii(instance: PuzzleInstance, state: SokobanState | None = None) -> str:

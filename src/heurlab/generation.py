@@ -106,13 +106,17 @@ def _prims_lattice(height: int, width: int, rng: random.Random) -> list[list[boo
     return walls
 
 
-def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Random, prob: float = 0.2) -> int:
+def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Random,
+                          prob: float = 0.2) -> tuple[int, int]:
     """Open a random subset of walls between the closer-to-start and
     closer-to-goal regions, guaranteeing at least one extra opening.
 
     A perfect maze has exactly one start-goal path; labelling every open cell
     by which endpoint is nearer and then piercing the boundary between the two
     regions adds alternative routes without touching the border ring.
+
+    Returns the number of walls opened and the start-to-goal distance in the
+    maze as it was before the opening (-1 if the goal was unreachable).
     """
     ds = domains.maze.bfs_distances(walls, start)
     dg = domains.maze.bfs_distances(walls, goal)
@@ -122,12 +126,11 @@ def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Rand
         for c in range(1, width - 1):
             if not walls[r][c]:
                 continue
-            for (ar, ac), (br, bc) in (((r - 1, c), (r + 1, c)), ((r, c - 1), (r, c + 1))):
-                if walls[ar][ac] or walls[br][bc]:
+            i = r * width + c
+            for a, b in ((i - width, i + width), (i - 1, i + 1)):
+                if ds[a] < 0 or ds[b] < 0:  # a wall, or open but cut off from start
                     continue
-                if (ar, ac) not in ds or (br, bc) not in ds:
-                    continue
-                if (ds[(ar, ac)] <= dg[(ar, ac)]) != (ds[(br, bc)] <= dg[(br, bc)]):
+                if (ds[a] <= dg[a]) != (ds[b] <= dg[b]):
                     candidates.append((r, c))
                 break
     chosen = [cell for cell in candidates if rng.random() < prob]
@@ -135,7 +138,7 @@ def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Rand
         chosen = [candidates[rng.randrange(len(candidates))]]
     for r, c in chosen:
         walls[r][c] = False
-    return len(chosen)
+    return len(chosen), ds[goal[0] * width + goal[1]]
 
 
 def generate_maze(width: int, height: int, filt: GenFilter, seed: int, id: str = "") -> PuzzleInstance:
@@ -151,7 +154,11 @@ def generate_maze(width: int, height: int, filt: GenFilter, seed: int, id: str =
         for _ in range(filt.retries):
             start, goal = rng.sample(open_cells, 2)
             grid = [row[:] for row in base]
-            broken = _break_boundary_walls(grid, start, goal, rng)
+            broken, unbroken_length = _break_boundary_walls(grid, start, goal, rng)
+            if 0 <= unbroken_length <= filt.o_l:
+                # Opening walls only shortens paths, so the plan A* would find
+                # is at most o_l long and the filter must reject it.
+                continue
             instance = PuzzleInstance(
                 domain=Domain.MAZE,
                 board=MazeBoard(freeze_grid(grid)),

@@ -70,7 +70,9 @@ def predict_batch(model: ResidualModel, features: np.ndarray | Sequence[Sequence
         x = x[None, :]
     z = model.standardize(x)
     if model.kind is ModelKind.LINEAR:
-        return z @ model.weights + model.bias
+        # Row-wise product and sum, not a GEMM, so a row's value does not
+        # depend on how many rows share the call.
+        return (z * model.weights).sum(axis=1) + model.bias
     # k nearest stored neighbors by Euclidean distance; ties keep insertion order.
     nearest = nearest_neighbors(z, model.neighbors, model.k, model.neighbor_index)
     return model.targets[nearest].mean(axis=1)

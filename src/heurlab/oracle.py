@@ -8,7 +8,6 @@ section stays exact.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -48,28 +47,14 @@ class UnsupportedDomainError(ValueError):
 def oracle_distances(instance: PuzzleInstance) -> dict[bytes, int]:
     """Exact distance-to-goal for every reachable cell, keyed by state key.
 
-    Unit-cost Dijkstra expanding outward from the goal; only mazes have a
-    small enough reversible state space for a full table.
+    Breadth-first search outward from the goal (moves are reversible and
+    unit-cost); only mazes have a small enough state space for a full table.
     """
     if instance.domain is not Domain.MAZE:
         raise UnsupportedDomainError(f"exact oracle tables only cover mazes, not {instance.domain.value}")
-    walls = instance.board.walls
-    h, w = instance.board.height, instance.board.width
-    goal = instance.goal_spec
-    dist: dict[tuple[int, int], int] = {goal: 0}
-    heap = [(0, goal)]
-    while heap:
-        d, (r, c) = heapq.heappop(heap)
-        if d > dist[(r, c)]:
-            continue
-        for _, (dr, dc) in domains.DIRECTIONS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and not walls[nr][nc]:
-                nd = d + 1
-                if nd < dist.get((nr, nc), nd + 1):
-                    dist[(nr, nc)] = nd
-                    heapq.heappush(heap, (nd, (nr, nc)))
-    return {MazeState(cell).key(): d for cell, d in dist.items()}
+    width = instance.board.width
+    dist = domains.maze.bfs_distances(instance.board.walls, instance.goal_spec)
+    return {MazeState(divmod(i, width)).key(): d for i, d in enumerate(dist) if d >= 0}
 
 
 def _parse_sections(sections) -> frozenset[SectionLabel]:

@@ -324,7 +324,12 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[
     a point equally near several centroids joins the first.
     """
     n = len(vectors)
+    if n == 0:
+        raise ValueError("kmeans needs at least one vector")
     k = max(1, min(k, n))
+    if k == 1:
+        # One centroid: every point joins it, and one mean step is the fixed point.
+        return np.zeros(n, dtype=int), vectors.mean(axis=0, keepdims=True)
     rng = random.Random(seed)
     centroids = vectors[rng.sample(range(n), k)].astype(float)
     labels = np.zeros(n, dtype=int)

@@ -171,6 +171,37 @@ def test_blocked_kmeans_matches_at_default_block_size():
     assert centroids.tobytes() == ref_centroids.tobytes()
 
 
+def test_single_centroid_kmeans_matches_lloyd_reference(monkeypatch):
+    # With k = 1 (as the combined strategy's per-instance dedup asks) the
+    # answer is the plain mean; no distance is computed at all.
+    def no_distances(*args, **kwargs):
+        raise AssertionError("k = 1 must not compute distances")
+
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        n, d = int(rng.integers(1, 120)), int(rng.integers(1, 90))
+        if trial % 3 == 0:
+            vectors = rng.integers(-3, 4, size=(n, d)).astype(float)  # ties and duplicates
+        else:
+            vectors = rng.normal(0, 10.0 ** rng.integers(-3, 4), size=(n, d))
+        k = 1 if trial % 5 else 4  # the cap at n makes 4 centroids one for single rows
+        if k > 1:
+            vectors = vectors[:1]
+        ref_labels, ref_centroids = reference_kmeans(vectors, k, seed=trial)
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, "nearest_neighbors", no_distances)
+            labels, centroids = kmeans(vectors, k, seed=trial)
+        assert labels.dtype == ref_labels.dtype and centroids.dtype == ref_centroids.dtype
+        assert labels.tobytes() == ref_labels.tobytes()
+        assert centroids.shape == ref_centroids.shape
+        assert centroids.tobytes() == ref_centroids.tobytes()
+
+
+def test_kmeans_rejects_empty_input():
+    with pytest.raises(ValueError, match="at least one vector"):
+        kmeans(np.zeros((0, 3)), 1, seed=0)
+
+
 @pytest.mark.parametrize("block_floats", [None, 4 * 164 * 5, 1])
 def test_blocked_predict_batch_matches_full_broadcast(monkeypatch, block_floats):
     if block_floats is not None:

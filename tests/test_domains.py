@@ -10,8 +10,11 @@ from conftest import maze_bfs_distance, sokoban_bfs_optimal
 from heurlab import domains
 from heurlab.domains import (
     Domain,
+    MazeBoard,
     MazeState,
     ParseError,
+    PuzzleInstance,
+    SokobanBoard,
     SokobanState,
     StpState,
     hungarian_min_cost,
@@ -70,6 +73,79 @@ def test_maze_quick_heuristic_is_manhattan_and_admissible():
     for cell, d in dist.items():
         h = domains.quick_heuristic(MazeState(cell), inst)
         assert h <= d
+
+
+def _random_grid(rng, height, width, border):
+    walls = [[rng.random() < 0.35 for _ in range(width)] for _ in range(height)]
+    if border:
+        for r in range(height):
+            walls[r][0] = walls[r][-1] = True
+        walls[0] = [True] * width
+        walls[-1] = [True] * width
+    if height >= 5 and width >= 5:
+        # A walled-off pocket: an open cell fenced in on all four sides.
+        r, c = rng.randrange(1, height - 1), rng.randrange(1, width - 1)
+        walls[r][c] = False
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            walls[r + dr][c + dc] = True
+    return walls
+
+
+def test_bfs_distances_match_brute_force_on_random_grids():
+    rng = random.Random(11)
+    for trial in range(300):
+        border = trial % 2 == 0
+        lo = 3 if border else 1
+        height, width = rng.randint(lo, 14), rng.randint(lo, 14)
+        walls = _random_grid(rng, height, width, border)
+        open_cells = [(r, c) for r in range(height) for c in range(width) if not walls[r][c]]
+        if not open_cells:
+            continue
+        start = rng.choice(open_cells)
+        inst = PuzzleInstance(Domain.MAZE, MazeBoard(walls), MazeState(start), start)
+        want = maze_bfs_distance(inst)
+        got = maze.bfs_distances(walls, start)
+        assert len(got) == height * width
+        for r in range(height):
+            for c in range(width):
+                assert got[r * width + c] == want.get((r, c), -1), (trial, r, c)
+
+
+def test_bfs_distances_do_not_wrap_between_rows():
+    # Row ends are open but the cells one flat index apart on the next row
+    # are only reachable the long way round.
+    walls = [
+        [False, False, False],
+        [True, True, False],
+        [False, False, False],
+    ]
+    assert maze.bfs_distances(walls, (0, 0)) == [0, 1, 2, -1, -1, 3, 6, 5, 4]
+    assert maze.bfs_distances([[False, True, False]], (0, 0)) == [0, -1, -1]
+
+
+def test_sokoban_cached_assignment_matches_direct_solve():
+    # Two boards with the same walls but different docks: equal box tuples
+    # must not share a cached assignment cost across them.
+    size = 8
+    walls = tuple(
+        tuple(r in (0, size - 1) or c in (0, size - 1) for c in range(size)) for r in range(size)
+    )
+    insts = []
+    for docks in (((1, 1), (6, 6)), ((1, 6), (6, 1))):
+        board = SokobanBoard(walls, docks)
+        insts.append(PuzzleInstance(Domain.SOKOBAN, board, SokobanState.make((3, 3), [(2, 2), (5, 5)]), docks))
+    interior = [(r, c) for r in range(1, size - 1) for c in range(1, size - 1)]
+    rng = random.Random(5)
+    for _ in range(300):
+        player, *boxes = rng.sample(interior, 3)
+        state = SokobanState.make(player, boxes)
+        for inst in insts:
+            docks = inst.board.docks
+            costs = [[abs(b[0] - d[0]) + abs(b[1] - d[1]) for d in docks] for b in state.boxes]
+            nearest = min(abs(player[0] - b[0]) + abs(player[1] - b[1]) for b in state.boxes)
+            want = 0 if state.boxes == docks else max(0, nearest - 1) + int(hungarian_min_cost(costs)[1])
+            assert sokoban.quick_heuristic(state, inst) == want
+            assert sokoban.feature_vector(state, inst)[0] == float(want)
 
 
 @pytest.mark.parametrize(

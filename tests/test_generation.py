@@ -1,11 +1,14 @@
 """Instance generation: filters, determinism, corpora, split folders."""
 
+import random
+
 import pytest
 
 from conftest import make_boxoban_fixture, maze_bfs_distance, MASTER_SEED
 
 from heurlab import generation
-from heurlab.domains import Domain, ParseError
+from heurlab.domains import Domain, MazeBoard, MazeState, ParseError, PuzzleInstance
+from heurlab.domains.base import freeze_grid
 from heurlab.generation import (
     GenFilter,
     GenerationExhausted,
@@ -21,7 +24,7 @@ from heurlab.generation import (
     subsample_boxes,
     write_split,
 )
-from heurlab.search import SearchResult, Status
+from heurlab.search import QuickHeuristic, SearchResult, Status, astar
 
 
 def _result(plan, closed, solved=True):
@@ -89,6 +92,98 @@ def test_generated_maze_has_walled_border_and_is_solvable():
     dist = maze_bfs_distance(inst)
     assert inst.goal_spec in dist
     assert dist[inst.goal_spec] == inst.provenance["plan_length"]
+
+
+# generate_maze as it was before candidates whose unbroken start-goal
+# distance is at most o_l stopped running A*: wall breaking over dict-keyed
+# breadth-first distances, and a full A* on every candidate.
+
+def reference_break_boundary_walls(walls, start, goal, rng, prob=0.2):
+    board = MazeBoard(walls)
+    ds = maze_bfs_distance(PuzzleInstance(Domain.MAZE, board, MazeState(start), goal), start)
+    dg = maze_bfs_distance(PuzzleInstance(Domain.MAZE, board, MazeState(goal), goal), goal)
+    height, width = len(walls), len(walls[0])
+    candidates = []
+    for r in range(1, height - 1):
+        for c in range(1, width - 1):
+            if not walls[r][c]:
+                continue
+            for (ar, ac), (br, bc) in (((r - 1, c), (r + 1, c)), ((r, c - 1), (r, c + 1))):
+                if walls[ar][ac] or walls[br][bc]:
+                    continue
+                if (ar, ac) not in ds or (br, bc) not in ds:
+                    continue
+                if (ds[(ar, ac)] <= dg[(ar, ac)]) != (ds[(br, bc)] <= dg[(br, bc)]):
+                    candidates.append((r, c))
+                break
+    chosen = [cell for cell in candidates if rng.random() < prob]
+    if candidates and not chosen:
+        chosen = [candidates[rng.randrange(len(candidates))]]
+    for r, c in chosen:
+        walls[r][c] = False
+    return len(chosen)
+
+
+def reference_generate_maze(width, height, filt, seed):
+    """Returns the accepted instance and the number of A* runs it took."""
+    grid_h, grid_w = generation._odd(height), generation._odd(width)
+    rng = random.Random(seed)
+    searches = 0
+    for _ in range(generation.GENERATION_CAP):
+        base = generation._prims_lattice(grid_h, grid_w, rng)
+        open_cells = [(r, c) for r in range(grid_h) for c in range(grid_w) if not base[r][c]]
+        for _ in range(filt.retries):
+            start, goal = rng.sample(open_cells, 2)
+            grid = [row[:] for row in base]
+            broken = reference_break_boundary_walls(grid, start, goal, rng)
+            instance = PuzzleInstance(Domain.MAZE, MazeBoard(freeze_grid(grid)), MazeState(start), goal, seed=seed)
+            result = astar(instance, QuickHeuristic(), limits=filt.search_limits())
+            searches += 1
+            if filt.accepts(result):
+                instance.provenance.update(generation._filter_provenance(filt, result))
+                instance.provenance["broken_walls"] = broken
+                return instance, searches
+    raise GenerationExhausted(seed)
+
+
+def _without_wall_time(provenance):
+    return {key: value for key, value in provenance.items() if key != "wall_time"}
+
+
+@pytest.mark.parametrize(
+    "filt, width, height",
+    [
+        (generation.MAZE_FILTER, 20, 20),
+        (generation.MAZE_OOD_FILTER, 30, 30),
+        (GenFilter(o_l=20), 20, 20),
+        (GenFilter(o_l=20), 25, 13),
+        (GenFilter(o_l=0), 7, 7),
+    ],
+)
+def test_generate_maze_matches_full_search_reference(monkeypatch, filt, width, height):
+    searches = []
+    real_astar = generation.astar
+
+    def counting_astar(*args, **kwargs):
+        searches.append(1)
+        return real_astar(*args, **kwargs)
+
+    monkeypatch.setattr(generation, "astar", counting_astar)
+    skipped = 0
+    for seed in range(5):
+        searches.clear()
+        got = generate_maze(width, height, filt, seed=seed)
+        want, reference_searches = reference_generate_maze(width, height, filt, seed)
+        assert got.board == want.board
+        assert got.start_state == want.start_state
+        assert got.goal_spec == want.goal_spec
+        assert _without_wall_time(got.provenance) == _without_wall_time(want.provenance)
+        assert len(searches) <= reference_searches
+        skipped += reference_searches - len(searches)
+    if filt.o_l >= 20:
+        assert skipped > 0  # short candidates no longer reach A*
+    else:
+        assert skipped == 0  # o_l=0 can never rule a candidate out
 
 
 def test_split_fixture_instances_pass_their_filter(maze_train_150):

@@ -129,6 +129,26 @@ def test_scalar_and_batch_predictions_agree():
         assert np.allclose(batch, single)
 
 
+@pytest.mark.parametrize("d", [17, 30, 81])
+def test_linear_prediction_does_not_depend_on_batch(d):
+    # A state's learned value must not change with how many siblings share
+    # the predict call; a matrix-vector product rounds by batch size.
+    rng = np.random.default_rng(d)
+    model = ResidualModel(
+        kind=ModelKind.LINEAR,
+        domain=Domain.MAZE,
+        mu=rng.normal(size=d),
+        sigma=rng.uniform(0.5, 2.0, size=d),
+        weights=rng.normal(size=d),
+        bias=float(rng.normal()),
+    )
+    for _ in range(100):
+        rows = rng.normal(0, 3, size=(int(rng.integers(1, 9)), d))
+        batch = predict_batch(model, rows)
+        alone = np.concatenate([predict_batch(model, row) for row in rows])
+        assert batch.tobytes() == alone.tobytes()
+
+
 def test_constant_feature_dimension_is_safe():
     examples = [
         _example("a", g, 21, (float(g), 5.0), d_star=float(g)) for g in range(20)
