@@ -22,7 +22,7 @@ from pathlib import Path
 from . import domains, evaluation, generation, models, oracle, pipeline
 from .domains import Domain
 from .search import SearchLimits, TieBreak
-from .util import content_hash, derive_seed, read_jsonl, write_jsonl
+from .util import atomic_write, content_hash, derive_seed, read_jsonl, write_jsonl
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -261,7 +261,7 @@ def _build_split(domain: Domain, split: str, seed: int, scale: float, jobs: int,
     return generation.build_sokoban_split(split, seed, _load_boxoban(boxoban), scale=scale)
 
 
-def _evaluator_factory(args, model=None):
+def _evaluator_factory(args, model):
     kind = args.heuristic
     if kind == "quick":
         return lambda inst: evaluation.QuickHeuristic()
@@ -269,11 +269,16 @@ def _evaluator_factory(args, model=None):
         from .search import ZeroHeuristic
 
         return lambda inst: ZeroHeuristic()
-    if model is None:
-        raise UsageError("--heuristic learned needs --model")
     floor = not getattr(args, "no_residual_floor", False)
     round_preds = getattr(args, "round_predictions", False)
     return lambda inst: models.learned_heuristic(model, floor_at_zero=floor, round_predictions=round_preds)
+
+
+def _quick_pool(instances, limits, jobs):
+    """Solve with the quick heuristic, which is admissible, so every plan is
+    optimal; then extract the pool. Returns (pool, unsolved count)."""
+    results = evaluation.solve_all(instances, lambda inst: evaluation.QuickHeuristic(), limits=limits, jobs=jobs)
+    return pipeline.extract_pool([(inst, results[inst.id]) for inst in instances])
 
 
 def _result_row(instance_id: str, res) -> dict:
@@ -353,10 +358,7 @@ def cmd_oracle_study(args) -> int:
 
 def cmd_extract(args) -> int:
     instances = generation.read_split(args.instances)
-    results = evaluation.solve_all(
-        instances, lambda inst: evaluation.QuickHeuristic(), limits=_limits(args), jobs=args.jobs
-    )
-    pool, skipped = pipeline.extract_pool([(inst, results[inst.id]) for inst in instances])
+    pool, skipped = _quick_pool(instances, _limits(args), args.jobs)
     pipeline.write_pool(pool, args.out)
     print(f"pool: {len(pool)} examples from {len(instances) - skipped} instances "
           f"({skipped} unsolved skipped) -> {args.out}")
@@ -408,11 +410,10 @@ def cmd_eval(args) -> int:
         if args.references:
             write_jsonl(args.references, evaluation.reference_records(references))
     model = models.load_model(args.model) if args.heuristic == "learned" else None
-    factory = _evaluator_factory(args, model)
     outcome = evaluation.run_experiment(
         instances,
         references,
-        lambda inst, seed: factory(inst),
+        _evaluator_factory(args, model),
         seeds=list(range(args.eval_seeds)),
         limits=limits,
         tie_break=_tie_break(args),
@@ -431,7 +432,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_prompts(args) -> int:
     examples = pipeline.read_pool(args.pool)
-    n = pipeline.export_corpus(examples, "prompts", args.out, seed=args.seed)
+    n = pipeline.export_corpus(examples, args.out, seed=args.seed)
     print(f"{n} prompt records -> {args.out}")
     return EXIT_OK
 
@@ -492,8 +493,8 @@ def cmd_pipeline(args) -> int:
             return EXIT_RUNTIME
         print("resuming: configuration matches")
     else:
-        cfg_path.write_text(json.dumps({"config": cfg, "config_hash": content_hash(cfg)}, indent=2) + "\n",
-                            encoding="utf-8")
+        with atomic_write(cfg_path) as fh:
+            fh.write(json.dumps({"config": cfg, "config_hash": content_hash(cfg)}, indent=2) + "\n")
     limits = _limits(args)
 
     def stage(label, outputs, build):
@@ -521,10 +522,10 @@ def cmd_pipeline(args) -> int:
     # 2. references for the evaluation splits
     def build_references(split):
         refs, failed = evaluation.compute_references(instances[split], limits=limits, jobs=args.jobs)
-        write_jsonl(workdir / "references" / f"{split}.jsonl", evaluation.reference_records(refs))
         if failed:
             write_jsonl(workdir / "references" / f"{split}_unsolved.jsonl", [{"instance_id": i} for i in failed])
             print(f"  {split}: {len(failed)} instances had no reference solve; excluded", file=sys.stderr)
+        write_jsonl(workdir / "references" / f"{split}.jsonl", evaluation.reference_records(refs))
 
     for split in ("test_iid", "test_ood"):
         stage(f"references/{split}", [f"references/{split}.jsonl"], lambda split=split: build_references(split))
@@ -535,10 +536,7 @@ def cmd_pipeline(args) -> int:
 
     # 3. training pool from quick solves of the train split
     def build_pool():
-        results = evaluation.solve_all(
-            instances["train"], lambda inst: evaluation.QuickHeuristic(), limits=limits, jobs=args.jobs
-        )
-        pool, skipped = pipeline.extract_pool([(inst, results[inst.id]) for inst in instances["train"]])
+        pool, skipped = _quick_pool(instances["train"], limits, args.jobs)
         if skipped:
             print(f"  pool: {skipped} unsolved train instances skipped", file=sys.stderr)
         pipeline.write_pool(pool, workdir / "pool.jsonl")
@@ -568,7 +566,6 @@ def cmd_pipeline(args) -> int:
         )
         models.save_model(model, workdir / "models" / f"{row}.json")
 
-    (workdir / "models").mkdir(exist_ok=True)
     for row in cfg["strategies"]:
         stage(f"models/{row}", [f"models/{row}.json"], lambda row=row: build_model(row))
 
@@ -592,7 +589,7 @@ def cmd_pipeline(args) -> int:
         outcome = evaluation.run_experiment(
             split_instances,
             references[split],
-            lambda inst, seed: models.learned_heuristic(model),
+            lambda inst: models.learned_heuristic(model),
             seeds=[0],
             limits=limits,
             jobs=args.jobs,

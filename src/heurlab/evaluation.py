@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .domains import PuzzleInstance
 from .search import HeuristicEvaluator, QuickHeuristic, SearchLimits, SearchResult, TieBreak, astar
-from .util import content_hash, write_jsonl
+from .util import atomic_write, content_hash, map_tasks, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,7 @@ def solve_all(
     """Solve every instance; evaluators are built in-process, solves may fan
     out to worker processes. Results keyed by instance id."""
     tasks = [(inst, evaluator_for(inst), limits, tie_break) for inst in instances]
-    if jobs <= 1 or len(tasks) <= 1:
-        pairs = [_solve_task(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_solve_task, tasks, chunksize=8))
-    return dict(pairs)
+    return dict(map_tasks(_solve_task, tasks, jobs, chunksize=8))
 
 
 def compute_references(
@@ -208,19 +201,18 @@ class ExperimentOutcome:
 def run_experiment(
     instances: Sequence[PuzzleInstance],
     references: Mapping[str, ReferenceSolution],
-    evaluator_for: Callable[[PuzzleInstance, int], HeuristicEvaluator],
+    evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator],
     seeds: Sequence[int],
     limits: SearchLimits | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
     jobs: int = 1,
     config: dict | None = None,
 ) -> ExperimentOutcome:
-    """Solve all instances once per seed and aggregate mean/std across seeds."""
+    """Solve all instances once per seed and aggregate mean/std across seeds.
+    The seeds are timing repeats: every one solves with the same evaluators."""
     per_seed = []
     for seed in seeds:
-        results = solve_all(
-            instances, lambda inst: evaluator_for(inst, seed), limits=limits, tie_break=tie_break, jobs=jobs
-        )
+        results = solve_all(instances, evaluator_for, limits=limits, tie_break=tie_break, jobs=jobs)
         per_seed.append((seed, compute_metrics(results, references)))
     keys = ["ilr_on_solved", "ilr_on_optimal", "swc", "optimal_pct", "itr_on_solved", "itr_on_optimal"]
     aggregate = {}
@@ -245,16 +237,11 @@ def run_experiment(
 # Report files: per-instance rows, an aggregate summary, and a manifest.
 
 def write_rows_csv(rows: Sequence[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    fields = list(rows[0].keys())
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    with atomic_write(path) as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def read_rows_csv(path: str | Path) -> list[dict]:
@@ -263,12 +250,14 @@ def read_rows_csv(path: str | Path) -> list[dict]:
 
 
 def write_report(report: MetricsReport, out_dir: str | Path, name: str, manifest: dict | None = None) -> None:
+    """Rows, manifest, then the summary: the pipeline takes the summary's
+    presence to mean the report is complete, so it is written last."""
     out_dir = Path(out_dir)
     write_rows_csv(report.rows, out_dir / f"{name}_results.csv")
-    write_rows_csv([report.summary()], out_dir / f"{name}_summary.csv")
     records = [{"kind": "summary", **report.summary()}]
     if manifest:
         records.insert(0, {"kind": "manifest", **manifest})
     if report.errors:
         records.extend({"kind": "error", **err} for err in report.errors)
     write_jsonl(out_dir / f"{name}_manifest.jsonl", records)
+    write_rows_csv([report.summary()], out_dir / f"{name}_summary.csv")

@@ -20,9 +20,11 @@ from . import domains
 from .domains import Domain, ParseError, PuzzleInstance
 from .domains.base import DIRECTIONS, MazeBoard, MazeState, OPPOSITE_ACTION, SokobanBoard, SokobanState, freeze_grid
 from .search import QuickHeuristic, SearchLimits, SearchResult, astar
-from .util import derive_seed, read_jsonl, write_jsonl
+from .util import derive_seed, map_tasks, read_jsonl, write_jsonl
 
 GENERATION_CAP = 1000  # fresh boards per requested instance before giving up
+BREAK_PROB = 0.2  # chance that each region-boundary wall of a maze is opened
+SCRAMBLE_MOVES = (20, 30)  # inclusive range of random moves that scramble a wide sliding-tile board
 
 _QUICK = QuickHeuristic()
 
@@ -106,8 +108,7 @@ def _prims_lattice(height: int, width: int, rng: random.Random) -> list[list[boo
     return walls
 
 
-def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Random,
-                          prob: float = 0.2) -> tuple[int, int]:
+def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Random) -> tuple[int, int]:
     """Open a random subset of walls between the closer-to-start and
     closer-to-goal regions, guaranteeing at least one extra opening.
 
@@ -133,7 +134,7 @@ def _break_boundary_walls(walls: list[list[bool]], start, goal, rng: random.Rand
                 if (ds[a] <= dg[a]) != (ds[b] <= dg[b]):
                     candidates.append((r, c))
                 break
-    chosen = [cell for cell in candidates if rng.random() < prob]
+    chosen = [cell for cell in candidates if rng.random() < BREAK_PROB]
     if candidates and not chosen:
         chosen = [candidates[rng.randrange(len(candidates))]]
     for r, c in chosen:
@@ -222,7 +223,6 @@ def subsample_boxes(instance: PuzzleInstance, boxes: int, seed: int, filt: GenFi
         raise ValueError(f"cannot keep {boxes} of {len(state.boxes)} boxes / {len(instance.board.docks)} docks")
     rng = random.Random(seed)
     attempts = filt.retries if filt is not None else 1
-    last = None
     for _ in range(attempts):
         kept_boxes = tuple(sorted(rng.sample(state.boxes, boxes)))
         kept_docks = tuple(sorted(rng.sample(instance.board.docks, boxes)))
@@ -242,7 +242,6 @@ def subsample_boxes(instance: PuzzleInstance, boxes: int, seed: int, filt: GenFi
         if filt.accepts(result):
             candidate.provenance.update(_filter_provenance(filt, result))
             return candidate
-        last = candidate
     raise GenerationExhausted(f"no {boxes}-box subset of {instance.id or 'instance'} met the filter")
 
 
@@ -275,10 +274,9 @@ def _scramble(width: int, moves: int, rng: random.Random):
     return state.tiles
 
 
-def generate_stp(width: int, filt: GenFilter, seed: int, id: str = "",
-                 scramble_range: tuple[int, int] = (20, 30)) -> PuzzleInstance:
+def generate_stp(width: int, filt: GenFilter, seed: int, id: str = "") -> PuzzleInstance:
     """3x3 boards draw uniform solvable permutations; wider boards scramble
-    the goal with 20-30 seeded random moves."""
+    the goal with ``SCRAMBLE_MOVES`` seeded random moves."""
     if width < 3:
         raise ValueError("width must be at least 3")
     rng = random.Random(seed)
@@ -290,7 +288,7 @@ def generate_stp(width: int, filt: GenFilter, seed: int, id: str = "",
                 continue
             provenance = {"method": "permutation"}
         else:
-            moves = rng.randint(*scramble_range)
+            moves = rng.randint(*SCRAMBLE_MOVES)
             tiles = _scramble(width, moves, rng)
             provenance = {"method": "scramble", "scramble_moves": moves}
         instance = domains.stp.make_instance(tiles, width, id=id, seed=seed, provenance=provenance)
@@ -301,20 +299,9 @@ def generate_stp(width: int, filt: GenFilter, seed: int, id: str = "",
     raise GenerationExhausted(f"no {width}x{width} sliding-tile instance met the filter (seed {seed})")
 
 
-def remap_stp_symbols(instance: PuzzleInstance, seed: int) -> tuple[dict[int, str], tuple[str, str]]:
-    """Per-instance alphabet for exported boards: sample w*w-1 distinct lowercase
-    letters, sort them, assign ascending to digits 1..; the blank stays "0".
-
-    Returns the symbol table plus (puzzle_str, goal_str) renderings.
-    """
-    width = instance.board.width
-    table = stp_symbol_table(width, seed)
-    puzzle = render_stp_with_table(instance.start_state.tiles, table)
-    goal = render_stp_with_table(instance.goal_spec, table)
-    return table, (puzzle, goal)
-
-
 def stp_symbol_table(width: int, seed: int) -> dict[int, str]:
+    """Per-instance alphabet for exported boards: sample w*w-1 distinct lowercase
+    letters, sort them, assign ascending to digits 1..; the blank stays "0"."""
     count = width * width - 1
     if count > len(string.ascii_lowercase):
         raise ValueError(f"board needs {count} symbols, alphabet has {len(string.ascii_lowercase)}")
@@ -324,10 +311,6 @@ def stp_symbol_table(width: int, seed: int) -> dict[int, str]:
     for digit, letter in enumerate(letters, start=1):
         table[digit] = letter
     return table
-
-
-def render_stp_with_table(tiles: Sequence[int], table: dict[int, str]) -> str:
-    return " ".join(table[t] for t in tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +400,13 @@ def _stp_worker(task):
 def build_maze_split(split: str, master_seed: int, scale: float = 1.0, jobs: int = 1,
                      blocks: tuple[SplitSpec, ...] | None = None) -> list[PuzzleInstance]:
     tasks = _expand_blocks(blocks or MAZE_SPLITS[split], split, master_seed, scale)
-    return _run_tasks(_maze_worker, tasks, jobs)
+    return map_tasks(_maze_worker, tasks, jobs, chunksize=4)
 
 
 def build_stp_split(split: str, master_seed: int, scale: float = 1.0, jobs: int = 1,
                     blocks: tuple[SplitSpec, ...] | None = None) -> list[PuzzleInstance]:
     tasks = _expand_blocks(blocks or STP_SPLITS[split], split, master_seed, scale)
-    return _run_tasks(_stp_worker, tasks, jobs)
+    return map_tasks(_stp_worker, tasks, jobs, chunksize=4)
 
 
 def build_sokoban_split(split: str, master_seed: int, source: list[PuzzleInstance],
@@ -458,15 +441,6 @@ def build_sokoban_split(split: str, master_seed: int, source: list[PuzzleInstanc
                 f"sokoban {split}: block B={block.boxes} needs {need} instances, pool yielded {got}"
             )
     return out
-
-
-def _run_tasks(worker, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=4))
 
 
 # ---------------------------------------------------------------------------

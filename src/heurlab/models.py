@@ -22,10 +22,11 @@ from . import domains
 from .domains import Domain
 from .pipeline import TrainingExample, nearest_neighbors, prepare_points
 from .search import HeuristicEvaluator
-from .util import derive_seed
+from .util import atomic_write, derive_seed
 
 MODEL_FORMAT = "heurlab-model"
 MODEL_VERSION = 1
+RIDGE = 1e-6  # damping of the linear model's least squares
 
 
 class ModelKind(str, Enum):
@@ -96,7 +97,6 @@ def train_residual_model(
     examples: Sequence[TrainingExample],
     kind: ModelKind | str = ModelKind.KNN,
     k: int = 8,
-    ridge: float = 1e-6,
     seed: int = 0,
     manifest: dict | None = None,
 ) -> ResidualModel:
@@ -129,7 +129,7 @@ def train_residual_model(
         # Ridge-damped least squares; the intercept column is damped too, but
         # at 1e-6 the perturbation is far below the MAE tolerances in use.
         a = np.hstack([z, np.ones((n, 1))])
-        gram = a.T @ a + ridge * np.eye(dims + 1)
+        gram = a.T @ a + RIDGE * np.eye(dims + 1)
         coef = np.linalg.solve(gram, a.T @ y)
         model.weights = coef[:-1]
         model.bias = float(coef[-1])
@@ -216,7 +216,8 @@ def save_model(model: ResidualModel, path: str | Path) -> None:
         "bias": model.bias,
         "manifest": model.manifest,
     }
-    Path(path).write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _model_array(path: str | Path, record: dict, name: str, ndim: int) -> np.ndarray:

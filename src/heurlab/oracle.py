@@ -142,7 +142,6 @@ def run_oracle_experiment(
     instances: Sequence[PuzzleInstance],
     sigmas: Iterable[float],
     seeds: Iterable[int],
-    references=None,
     limits: SearchLimits | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
     clamp_at_zero: bool = True,
@@ -158,10 +157,9 @@ def run_oracle_experiment(
 
     sigmas = list(sigmas)
     seeds = list(seeds)
-    if references is None:
-        references, failed = compute_references(instances, limits=limits, tie_break=tie_break, jobs=jobs)
-        if failed:
-            raise ValueError(f"{len(failed)} instances lack reference solutions: {failed[:5]}")
+    references, failed = compute_references(instances, limits=limits, tie_break=tie_break, jobs=jobs)
+    if failed:
+        raise ValueError(f"{len(failed)} instances lack reference solutions: {failed[:5]}")
     tables = {inst.id: oracle_distances(inst) for inst in instances}
 
     def metrics_for(evaluator_for):

@@ -92,7 +92,8 @@ def extract_pool(solved: Iterable[tuple[PuzzleInstance, SearchResult]]) -> tuple
             continue
         plan_len = result.path_length
         for g, state in enumerate(result.path[:-1]):
-            quick_h = float(domains.quick_heuristic(state, instance))
+            features = tuple(domains.feature_vector(state, instance))
+            quick_h = features[0]  # every domain's column 0 is its quick heuristic
             d_star = (plan_len - g) - quick_h
             if d_star < 0:
                 raise ValueError(
@@ -109,7 +110,7 @@ def extract_pool(solved: Iterable[tuple[PuzzleInstance, SearchResult]]) -> tuple
                     g=g,
                     plan_len=plan_len,
                     section=section_of(g, plan_len),
-                    feature_vector=tuple(domains.feature_vector(state, instance)),
+                    feature_vector=features,
                     domain=instance.domain,
                 )
             )
@@ -179,6 +180,13 @@ def group_by_instance(pool: Sequence[TrainingExample]) -> dict[str, list[Trainin
     return groups
 
 
+def _planner_aware_draw(group: Sequence[TrainingExample], take: int, tau: float, c_variant: CVariant,
+                        seed: int) -> list[TrainingExample]:
+    """``take`` SoftMax(C/tau) draws without replacement from one instance's group."""
+    rng = random.Random(derive_seed(seed, "planner_aware", group[0].instance_id))
+    return weighted_sample_without_replacement(group, planner_aware_probs(group, tau, c_variant), take, rng)
+
+
 def sample_planner_aware(
     pool: Sequence[TrainingExample],
     m: int,
@@ -193,10 +201,7 @@ def sample_planner_aware(
     groups = group_by_instance(pool)
     for instance_id in sorted(groups):
         group = groups[instance_id]
-        rng = random.Random(derive_seed(seed, "planner_aware", instance_id))
-        take = min(m, len(group))
-        probs = planner_aware_probs(group, tau, c_variant)
-        out.extend(weighted_sample_without_replacement(group, probs, take, rng))
+        out.extend(_planner_aware_draw(group, min(m, len(group)), tau, c_variant, seed))
     return out
 
 
@@ -246,6 +251,8 @@ def select_with_budget(
 # (1 MiB): a block's (rows, m) screen arrays take at most an eighth each, and
 # the exact recompute works through its survivors in chunks of this size.
 DISTANCE_BLOCK_FLOATS = 1 << 17
+
+KMEANS_MAX_ITER = 50  # Lloyd iterations before k-means stops without converging
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
@@ -317,8 +324,8 @@ def nearest_neighbors(
     return nearest
 
 
-def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations with seeded initialization.
+def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plain Lloyd iterations with seeded initialization, at most ``KMEANS_MAX_ITER``.
 
     Returns (labels, centroids). Empty clusters keep their previous centroid;
     a point equally near several centroids joins the first.
@@ -333,7 +340,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 50) -> tuple[
     rng = random.Random(seed)
     centroids = vectors[rng.sample(range(n), k)].astype(float)
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_labels = nearest_neighbors(vectors, centroids, 1)[:, 0]
         if np.array_equal(new_labels, labels) and _ > 0:
             break
@@ -468,9 +475,7 @@ def combine_with_baseline(
         group = groups[instance_id]
         take = min(m, len(group))
         s1 = baseline_selector(group, take, derive_seed(seed, "baseline", instance_id))
-        probs = planner_aware_probs(group, tau, c_variant)
-        rng = random.Random(derive_seed(seed, "planner_aware", instance_id))
-        s2 = weighted_sample_without_replacement(group, probs, take, rng)
+        s2 = _planner_aware_draw(group, take, tau, c_variant, seed)
         out.extend(combine_resample(s1, s2, take, random.Random(derive_seed(seed, "combine", instance_id))))
     return out
 
@@ -624,19 +629,14 @@ def render_prompt(ex: TrainingExample, seed: int = 0) -> str:
     )
 
 
-def export_corpus(examples: Sequence[TrainingExample], format: str, path: str | Path, seed: int = 0) -> int:
-    """Write a line-delimited corpus: ``records`` round-trips every example
-    field; ``prompts`` emits (prompt, target) pairs with target d*."""
-    if format == "records":
-        write_pool(examples, path)
-    elif format == "prompts":
-        write_jsonl(
-            path,
-            [
-                {"prompt": render_prompt(ex, seed), "target": ex.d_star, "instance_id": ex.instance_id, "g": ex.g}
-                for ex in examples
-            ],
-        )
-    else:
-        raise ValueError(f"unknown corpus format {format!r}; use 'records' or 'prompts'")
+def export_corpus(examples: Sequence[TrainingExample], path: str | Path, seed: int = 0) -> int:
+    """Write one (prompt, target) record per example, target d*; ``write_pool``
+    writes the examples themselves."""
+    write_jsonl(
+        path,
+        [
+            {"prompt": render_prompt(ex, seed), "target": ex.d_star, "instance_id": ex.instance_id, "g": ex.g}
+            for ex in examples
+        ],
+    )
     return len(examples)

@@ -10,6 +10,10 @@ inconsistent heuristics. The goal test happens at selection, not generation.
 ``closed_length`` counts selection steps that entered the closed list; the
 terminal goal selection returns before being closed, so with an exact oracle
 heuristic and larger-g tie-breaking it equals the optimal plan length.
+
+The table of best nodes per state key is also the heuristic memo: every
+evaluated state enters it and never leaves, so a cacheable evaluator is asked
+only about states not yet in it.
 """
 
 from __future__ import annotations
@@ -67,13 +71,17 @@ class SearchResult:
     path: list = field(default_factory=list)  # states start..goal when solved
     path_length: int = 0  # moves
     closed_length: int = 0
-    expansions: int = 0
     heuristic_calls: int = 0
     wall_time: float = 0.0
 
     @property
     def solved(self) -> bool:
         return self.status is Status.SOLUTION_FOUND
+
+    @property
+    def expansions(self) -> int:
+        """Expanded nodes; every expansion closes one, so this is ``closed_length``."""
+        return self.closed_length
 
 
 class HeuristicEvaluator:
@@ -122,23 +130,6 @@ def astar(
     t0 = time.perf_counter()
     limits = limits or SearchLimits()
     use_cache = getattr(heuristic, "cacheable", True)
-    h_seen: dict[bytes, float] = {}
-    heuristic_calls = 0
-
-    def evaluate(states, keys, g):
-        nonlocal heuristic_calls
-        # One evaluator call per expansion, covering the not-yet-seen children.
-        if use_cache:
-            miss = [(s, k) for s, k in zip(states, keys) if k not in h_seen]
-            if miss:
-                values = heuristic.evaluate_batch([s for s, _ in miss], instance, [g] * len(miss))
-                heuristic_calls += len(miss)
-                for (_, k), v in zip(miss, values):
-                    h_seen[k] = float(v)
-            return [h_seen[k] for k in keys]
-        values = heuristic.evaluate_batch(list(states), instance, [g] * len(states))
-        heuristic_calls += len(states)
-        return [float(v) for v in values]
 
     if tie_break is TieBreak.LARGER_G:
         entry = lambda node: (node.f, -node.g, -node.seq, node)
@@ -147,19 +138,19 @@ def astar(
 
     start = instance.start_state
     start_key = domains.state_key(start)
-    h0 = evaluate([start], [start_key], 0)[0]
+    h0 = float(heuristic.evaluate_batch([start], instance, [0])[0])
+    heuristic_calls = 1
     root = SearchNode(start, start_key, 0, h0, None, 0)
     best: dict[bytes, SearchNode] = {start_key: root}
     heap = [entry(root)]
     closed = 0
-    expansions = 0
     next_seq = 1
 
     def result(status, node=None):
         wall = time.perf_counter() - t0
         if node is None:
-            return SearchResult(status, [], 0, closed, expansions, heuristic_calls, wall)
-        return SearchResult(status, reconstruct_path(node), node.g, closed, expansions, heuristic_calls, wall)
+            return SearchResult(status, [], 0, closed, heuristic_calls, wall)
+        return SearchResult(status, reconstruct_path(node), node.g, closed, heuristic_calls, wall)
 
     while heap:
         node = heappop(heap)[-1]
@@ -172,15 +163,18 @@ def astar(
         if limits.max_wall_time is not None and time.perf_counter() - t0 > limits.max_wall_time:
             return result(Status.LIMIT_EXCEEDED)
         closed += 1
-        expansions += 1
         g_child = node.g + 1
-        children = domains.successors(node.state, instance)
-        states = [s for _, s in children]
-        keys = [domains.state_key(s) for s in states]
-        hs = evaluate(states, keys, g_child)
-        for s, k, h in zip(states, keys, hs):
-            f = g_child + h
+        children = [(s, domains.state_key(s)) for _, s in domains.successors(node.state, instance)]
+        # One evaluator call per expansion: a cacheable evaluator only for the
+        # children not yet in the table, and none when every child is known.
+        asked = [c for c in children if c[1] not in best] if use_cache else children
+        if asked or not use_cache:
+            values = iter(heuristic.evaluate_batch([s for s, _ in asked], instance, [g_child] * len(asked)))
+            heuristic_calls += len(asked)
+        for s, k in children:
             existing = best.get(k)
+            h = existing.h if use_cache and existing is not None else float(next(values))
+            f = g_child + h
             if existing is not None and f >= existing.f:
                 continue
             child = SearchNode(s, k, g_child, h, node, next_seq)

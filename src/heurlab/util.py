@@ -1,12 +1,15 @@
-"""Small shared utilities: seed derivation, deterministic noise, JSONL files."""
+"""Small shared utilities: seed derivation, deterministic noise, crash-safe
+files, JSONL files and the serial-or-process-pool map."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
 def derive_seed(*parts: object) -> int:
@@ -34,10 +37,29 @@ def unit_normal(seed: int, key: bytes, draw: int = 0) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so it appears whole or not at all.
+
+    The text goes to ``<name>.tmp`` in the same directory, which replaces
+    ``path`` only once the block has finished. A run killed part way leaves
+    at most that temp file, and rerunning the writer overwrites it. Line
+    ends are written as given (no newline translation), as ``csv`` needs.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -51,3 +73,14 @@ def content_hash(obj: object) -> str:
     """SHA-256 of a canonical JSON rendering; used in run manifests."""
     blob = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def map_tasks(worker: Callable, tasks: Sequence, jobs: int, chunksize: int) -> list:
+    """``[worker(t) for t in tasks]``, fanned out to ``jobs`` worker processes
+    when there is more than one of each; results keep the task order."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks, chunksize=chunksize))

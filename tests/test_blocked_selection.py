@@ -160,12 +160,13 @@ def test_blocked_kmeans_matches_full_broadcast(monkeypatch, block_floats):
     assert centroids.tobytes() == ref_centroids.tobytes()
 
 
-def test_blocked_kmeans_matches_at_default_block_size():
+def test_blocked_kmeans_matches_at_default_block_size(monkeypatch):
     # 25 centroids x 30 dims gives blocks of 174 rows, which do not divide 5003.
     rows = pipeline.DISTANCE_BLOCK_FLOATS // (25 * 30)
     assert 1 < rows < 5003 and 5003 % rows
     vectors = np.random.default_rng(1).normal(size=(5003, 30))
-    labels, centroids = kmeans(vectors, 25, seed=2, max_iter=5)
+    monkeypatch.setattr(pipeline, "KMEANS_MAX_ITER", 5)
+    labels, centroids = kmeans(vectors, 25, seed=2)
     ref_labels, ref_centroids = reference_kmeans(vectors, 25, seed=2, max_iter=5)
     assert labels.tobytes() == ref_labels.tobytes()
     assert centroids.tobytes() == ref_centroids.tobytes()
@@ -248,10 +249,11 @@ def test_train_residual_model_memory_is_bounded():
     assert peak < MEMORY_BOUND_MB
 
 
-def test_kmeans_memory_is_bounded():
+def test_kmeans_memory_is_bounded(monkeypatch):
     # One full-broadcast iteration at 5000 x 25 x 30 would allocate ~29 MB.
     vectors = np.random.default_rng(0).normal(size=(5000, 30))
-    peak = _traced_peak_mb(lambda: kmeans(vectors, 25, seed=1, max_iter=2))
+    monkeypatch.setattr(pipeline, "KMEANS_MAX_ITER", 2)
+    peak = _traced_peak_mb(lambda: kmeans(vectors, 25, seed=1))
     assert peak < MEMORY_BOUND_MB
 
 

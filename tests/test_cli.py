@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from heurlab import cli, generation, pipeline
-from heurlab.util import read_jsonl
+from heurlab import cli, generation, pipeline, util
+from heurlab.util import atomic_write, read_jsonl
+
+from test_acceptance import _normalized
 
 
 def run_cli(argv):
@@ -360,3 +362,61 @@ def test_pipeline_builds_resumes_and_guards_config(tmp_path, capsys):
     # changed settings must not silently mix with saved artifacts
     assert run_cli(argv + ["--budget", "999"]) == 3
     assert "different configuration" in capsys.readouterr().err
+
+
+def test_atomic_write_keeps_the_old_file_when_the_writer_fails(tmp_path):
+    path = tmp_path / "sub" / "out.txt"
+    with atomic_write(path) as fh:
+        fh.write("first\n")
+    assert path.read_text() == "first\n"
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("sec")
+            raise RuntimeError("cut")
+    assert path.read_text() == "first\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+
+def test_pipeline_resumes_after_a_failed_pool_write(tmp_path, monkeypatch, capsys):
+    # A pool write that dies part way must leave no pool.jsonl for the
+    # resume to accept; the resumed run then matches an uninterrupted one.
+    argv = ["pipeline", "--scale", "0.01", "--strategies", "uniform,planner_aware", "--seed", "7"]
+    run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
+    assert run_cli(argv + ["--workdir", run_a]) == 0
+
+    real = util.write_jsonl
+
+    def dies_half_way(path, records):
+        if Path(path).name != "pool.jsonl":
+            return real(path, records)
+        records = list(records)
+
+        def cut():
+            yield from records[: len(records) // 2]
+            raise OSError("no space left on device")
+
+        return real(path, cut())
+
+    monkeypatch.setattr(pipeline, "write_jsonl", dies_half_way)
+    assert run_cli(argv + ["--workdir", run_b]) == 3
+    assert "no space left on device" in capsys.readouterr().err
+    assert not (run_b / "pool.jsonl").exists()
+    assert not (run_b / "pool.jsonl.tmp").exists()
+    monkeypatch.undo()
+
+    # A killed writer would leave its temp file behind; the resume overwrites it.
+    (run_b / "pool.jsonl.tmp").write_text((run_a / "pool.jsonl").read_text()[:500], encoding="utf-8")
+    assert run_cli(argv + ["--workdir", run_b]) == 0
+    out = capsys.readouterr().out
+    assert "resuming: configuration matches" in out
+    assert "[instances/train] up to date" in out
+    assert "[pool] running" in out
+
+    files_a = sorted(p.relative_to(run_a) for p in run_a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(run_b) for p in run_b.rglob("*") if p.is_file())
+    assert files_a == files_b
+    for rel in files_a:
+        assert _normalized(run_a / rel) == _normalized(run_b / rel), rel
+        board_file = rel.parts[0] == "instances" and rel.suffix == ".txt"
+        if board_file or rel.parts[0] in ("selections", "models") or rel.name in ("pool.jsonl", "comparison.csv"):
+            assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes(), rel

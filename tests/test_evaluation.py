@@ -151,7 +151,7 @@ def test_run_experiment_aggregates_across_seeds(maze_train_150):
     outcome = run_experiment(
         subset,
         references,
-        lambda inst, seed: QuickHeuristic(),
+        lambda inst: QuickHeuristic(),
         seeds=[0, 1, 2],
         config={"name": "unit"},
     )

@@ -370,10 +370,3 @@ def test_symbol_table_is_seeded_and_sorted():
     with pytest.raises(ValueError):
         stp_symbol_table(6, seed=0)
 
-
-def test_remap_renders_with_letters():
-    inst = generation.generate_stp(3, generation.STP_FILTER, seed=77)
-    table, (puzzle, goal) = generation.remap_stp_symbols(inst, seed=5)
-    assert puzzle.split() == [table[t] for t in inst.start_state.tiles]
-    assert goal.split() == [table[t] for t in range(9)]
-    assert "0" in puzzle.split()

@@ -99,11 +99,12 @@ def test_first_index_wins_ties_as_in_kmeans_argmin():
     assert np.array_equal(nearest_neighbors(vectors, centroids, 1)[:, 0], d2.argmin(axis=1))
 
 
-def test_kmeans_assigns_ties_to_the_first_centroid():
+def test_kmeans_assigns_ties_to_the_first_centroid(monkeypatch):
     # Identical points give identical seeds: every point ties between the
     # centroids and joins the first, so the others stay empty.
     vectors = np.ones((6, 3))
-    labels, centroids = kmeans(vectors, 3, seed=0, max_iter=5)
+    monkeypatch.setattr(pipeline, "KMEANS_MAX_ITER", 5)
+    labels, centroids = kmeans(vectors, 3, seed=0)
     assert labels.tolist() == [0] * 6
     assert centroids.tolist() == [[1.0] * 3] * 3
 

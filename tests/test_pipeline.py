@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from heurlab import domains, evaluation, pipeline
+from heurlab import domains, evaluation, generation, pipeline
 from heurlab.domains import Domain, maze
 from heurlab.oracle import SectionLabel, section_of
 from heurlab.pipeline import (
@@ -38,6 +38,7 @@ from heurlab.pipeline import (
     write_pool,
 )
 from heurlab.search import QuickHeuristic, SearchResult, Status, astar
+from heurlab.util import derive_seed
 
 import numpy as np
 
@@ -449,13 +450,26 @@ def test_render_prompt_remaps_sliding_tiles(stp_200):
     assert set(other_payload.split()) == set(tokens)
 
 
+def test_render_prompt_remaps_with_the_instance_table():
+    # Every node of an instance renders with that instance's seeded alphabet:
+    # the puzzle tokens map its tiles and the goal line maps 0..n-1.
+    inst = generation.generate_stp(3, generation.STP_FILTER, seed=77, id="stp-remap")
+    pool, _ = extract_pool([(inst, astar(inst, QuickHeuristic()))])
+    assert [int(tok) for tok in pool[0].text.split()] == list(inst.start_state.tiles)
+    table = generation.stp_symbol_table(3, derive_seed(5, "stp_symbols", inst.id))
+    for ex in pool:
+        prompt = render_prompt(ex, seed=5)
+        puzzle = prompt.split('puzzle_str = "', 1)[1].split('"', 1)[0].split()
+        goal = prompt.split('# goal = "', 1)[1].split('"', 1)[0].split()
+        assert puzzle == [table[int(tok)] for tok in ex.text.split()]
+        assert goal == [table[t] for t in range(9)]
+        assert "0" in puzzle
+
+
 def test_export_corpus_formats(tmp_path, maze_pool_150):
     subset = maze_pool_150[:10]
-    records = tmp_path / "records.jsonl"
-    assert export_corpus(subset, "records", records) == 10
-    assert read_pool(records) == subset
     prompts = tmp_path / "prompts.jsonl"
-    export_corpus(subset, "prompts", prompts)
+    assert export_corpus(subset, prompts) == 10
     from heurlab.util import read_jsonl
 
     rows = read_jsonl(prompts)
@@ -465,5 +479,3 @@ def test_export_corpus_formats(tmp_path, maze_pool_150):
         assert row["instance_id"] == ex.instance_id
         assert row["g"] == ex.g
         assert row["prompt"] == render_prompt(ex)
-    with pytest.raises(ValueError, match="unknown corpus format"):
-        export_corpus(subset, "parquet", tmp_path / "x.jsonl")

@@ -1,22 +1,30 @@
 """Search engine behavior: optimality, tie-breaking, limits, accounting."""
 
 import hashlib
+import random
+import time
+from heapq import heappop, heappush
 
 import pytest
 
-from conftest import maze_bfs_distance
+from conftest import MASTER_SEED, _reverse_pull_board, maze_bfs_distance
 
-from heurlab import domains
+from heurlab import domains, generation
 from heurlab.domains import maze, stp
+from heurlab.oracle import NoiseSpec, NoisyOracle
 from heurlab.search import (
     HeuristicEvaluator,
     QuickHeuristic,
     SearchLimits,
+    SearchNode,
+    SearchResult,
     Status,
     TieBreak,
     ZeroHeuristic,
     astar,
+    reconstruct_path,
 )
+from heurlab.util import derive_seed
 
 OPEN_ROOM = "\n".join(
     ["##########", "#@.......#"] + ["#........#"] * 6 + ["#.......X#", "##########"]
@@ -194,3 +202,207 @@ def test_optimal_under_inconsistent_admissible_heuristic(maze_train_150):
 def test_wall_time_is_recorded(maze_train_150):
     result = astar(maze_train_150[4], QuickHeuristic())
     assert result.wall_time > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the engine as it was before the node table became the
+# heuristic memo, and optimality under inconsistent admissible heuristics.
+
+def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_G):
+    """The engine with a separate state-to-h memo and its own expansion
+    counter. Returns (result, expansions)."""
+    t0 = time.perf_counter()
+    limits = limits or SearchLimits()
+    use_cache = getattr(heuristic, "cacheable", True)
+    h_seen = {}
+    heuristic_calls = 0
+
+    def evaluate(states, keys, g):
+        nonlocal heuristic_calls
+        if use_cache:
+            miss = [(s, k) for s, k in zip(states, keys) if k not in h_seen]
+            if miss:
+                values = heuristic.evaluate_batch([s for s, _ in miss], instance, [g] * len(miss))
+                heuristic_calls += len(miss)
+                for (_, k), v in zip(miss, values):
+                    h_seen[k] = float(v)
+            return [h_seen[k] for k in keys]
+        values = heuristic.evaluate_batch(list(states), instance, [g] * len(states))
+        heuristic_calls += len(states)
+        return [float(v) for v in values]
+
+    if tie_break is TieBreak.LARGER_G:
+        entry = lambda node: (node.f, -node.g, -node.seq, node)
+    else:
+        entry = lambda node: (node.f, node.g, node.seq, node)
+
+    start = instance.start_state
+    start_key = domains.state_key(start)
+    h0 = evaluate([start], [start_key], 0)[0]
+    root = SearchNode(start, start_key, 0, h0, None, 0)
+    best = {start_key: root}
+    heap = [entry(root)]
+    closed = 0
+    expansions = 0
+    next_seq = 1
+
+    def result(status, node=None):
+        path = reconstruct_path(node) if node is not None else []
+        plan = node.g if node is not None else 0
+        res = SearchResult(status, path=path, path_length=plan, closed_length=closed,
+                           heuristic_calls=heuristic_calls, wall_time=time.perf_counter() - t0)
+        return res, expansions
+
+    while heap:
+        node = heappop(heap)[-1]
+        if best.get(node.key) is not node:
+            continue
+        if domains.is_goal(node.state, instance):
+            return result(Status.SOLUTION_FOUND, node)
+        if limits.max_iterations is not None and closed >= limits.max_iterations:
+            return result(Status.LIMIT_EXCEEDED)
+        if limits.max_wall_time is not None and time.perf_counter() - t0 > limits.max_wall_time:
+            return result(Status.LIMIT_EXCEEDED)
+        closed += 1
+        expansions += 1
+        g_child = node.g + 1
+        states = [s for _, s in domains.successors(node.state, instance)]
+        keys = [domains.state_key(s) for s in states]
+        hs = evaluate(states, keys, g_child)
+        for s, k, h in zip(states, keys, hs):
+            f = g_child + h
+            existing = best.get(k)
+            if existing is not None and f >= existing.f:
+                continue
+            child = SearchNode(s, k, g_child, h, node, next_seq)
+            next_seq += 1
+            best[k] = child
+            heappush(heap, entry(child))
+    return result(Status.FRONTIER_EXHAUSTED)
+
+
+class RecordingEvaluator(HeuristicEvaluator):
+    """Forwards to another evaluator and logs each call's state keys and gs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.cacheable = getattr(inner, "cacheable", True)
+        self.calls = []
+
+    def evaluate_batch(self, states, instance, gs):
+        self.calls.append(([domains.state_key(s) for s in states], list(gs)))
+        return self.inner.evaluate_batch(states, instance, gs)
+
+
+class HashScaledQuick(HeuristicEvaluator):
+    """Admissible but inconsistent on every domain: a per-state fraction of
+    the quick heuristic."""
+
+    def evaluate_batch(self, states, instance, gs):
+        out = []
+        for s in states:
+            frac = int.from_bytes(hashlib.blake2b(domains.state_key(s), digest_size=4).digest(), "big") / 2**32
+            out.append(frac * domains.quick_heuristic(s, instance))
+        return out
+
+
+def _random_instances():
+    rng = random.Random(derive_seed(MASTER_SEED, "search-equivalence"))
+    mazes = [generation.generate_maze(size, size, generation.GenFilter(), seed=rng.randrange(2**31))
+             for size in (9, 11, 13, 15, 11, 13)]
+    tiles = [generation.generate_stp(3, generation.GenFilter(), seed=rng.randrange(2**31)) for _ in range(4)]
+    boxes = []
+    while len(boxes) < 4:
+        board = _reverse_pull_board(rng, n_boxes=2, pulls=rng.randint(16, 40))
+        if board is not None:
+            boxes.append(domains.parse_ascii(board, "sokoban"))
+    return mazes + tiles + boxes
+
+
+def _evaluator_factories(inst):
+    factories = {
+        "quick": QuickHeuristic,
+        "zero": ZeroHeuristic,
+        "hash_scaled_quick": HashScaledQuick,
+        "quick_uncached": lambda: CountingEvaluator(QuickHeuristic(), cacheable=False),
+    }
+    if inst.domain is domains.Domain.MAZE:
+        factories["hash_noise"] = lambda: HashNoiseHeuristic(inst)
+        for per_query in (False, True):
+            spec = NoiseSpec(sigma=3.0, oracle_sections="middle", noise_seed=11, per_query=per_query)
+            factories[f"noisy_oracle_per_query_{per_query}"] = lambda spec=spec: NoisyOracle(inst, spec)
+    return factories
+
+
+def test_engine_matches_reference_engine():
+    limits = (None, SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25))
+    seen = set()
+    for inst in _random_instances():
+        for name, make in _evaluator_factories(inst).items():
+            for tie_break in TieBreak:
+                for limit in limits:
+                    if inst.domain is not domains.Domain.MAZE and limit is None:
+                        continue  # uniform-cost search would sweep the whole state space
+                    ours, theirs = RecordingEvaluator(make()), RecordingEvaluator(make())
+                    got = astar(inst, ours, limit, tie_break)
+                    want, want_expansions = reference_astar(inst, theirs, limit, tie_break)
+                    label = (inst.domain.value, name, tie_break.value, limit)
+                    assert got.status is want.status, label
+                    assert got.path == want.path, label
+                    assert got.path_length == want.path_length, label
+                    assert got.closed_length == want.closed_length, label
+                    assert got.expansions == want_expansions == got.closed_length, label
+                    assert got.heuristic_calls == want.heuristic_calls, label
+                    assert ours.calls == theirs.calls, label
+                    seen.add((inst.domain, got.status))
+    # The instances exercise solved and cut-off searches in every domain.
+    for domain in domains.Domain:
+        assert {(domain, Status.SOLUTION_FOUND), (domain, Status.LIMIT_EXCEEDED)} <= seen
+
+
+def test_uncacheable_evaluator_called_once_per_expansion_even_when_empty():
+    # The start cell has no open neighbour, so its expansion has no children;
+    # an uncacheable evaluator is still asked, with an empty batch.
+    inst = maze.parse_ascii(BLOCKED)
+    evaluator = RecordingEvaluator(CountingEvaluator(QuickHeuristic(), cacheable=False))
+    result = astar(inst, evaluator)
+    assert result.status is Status.FRONTIER_EXHAUSTED
+    assert len(evaluator.calls) == result.closed_length + 1
+    assert evaluator.calls[-1] == ([], [])
+
+
+class SlackedExact(HeuristicEvaluator):
+    """Exact distance-to-goal minus a seeded per-state slack in [0, 4]:
+    admissible, and inconsistent wherever neighbouring slacks differ by more
+    than the step cost allows."""
+
+    def __init__(self, instance, seed):
+        self.dist = maze_bfs_distance(instance, start=instance.goal_spec)
+        self.value = {}
+        for cell, d in self.dist.items():
+            slack = random.Random(derive_seed(seed, cell)).uniform(0.0, 4.0)
+            self.value[domains.MazeState(cell).key()] = max(0.0, d - slack)
+
+    def evaluate_batch(self, states, instance, gs):
+        return [self.value[domains.state_key(s)] for s in states]
+
+
+def test_plans_stay_optimal_under_slacked_exact_heuristics():
+    rng = random.Random(derive_seed(MASTER_SEED, "slacked-exact"))
+    inconsistent = 0
+    for trial in range(60):
+        size = rng.choice((7, 9, 11, 13))
+        inst = generation.generate_maze(size, size, generation.GenFilter(), seed=rng.randrange(2**31))
+        evaluator = SlackedExact(inst, trial)
+        truth = maze_bfs_distance(inst)[inst.goal_spec]
+        for tie_break in TieBreak:
+            result = astar(inst, evaluator, tie_break=tie_break)
+            assert result.solved
+            assert result.path_length == truth, (trial, tie_break)
+        # h(a) > 1 + h(b) for some neighbours a, b: the heuristic is inconsistent.
+        inconsistent += any(
+            evaluator.value[a.key()] > 1.0 + evaluator.value[b.key()]
+            for a in map(domains.MazeState, evaluator.dist)
+            for _, b in domains.successors(a, inst)
+        )
+    assert inconsistent == 60
