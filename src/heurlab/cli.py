@@ -610,11 +610,8 @@ def cmd_pipeline(args) -> int:
             entry = {"strategy": row}
             for split, tag in (("test_iid", "iid"), ("test_ood", "ood")):
                 summary = evaluation.read_rows_csv(workdir / "eval" / f"{row}_{split}_summary.csv")[0]
-                if "skipped" in summary:
-                    entry.update({f"{tag}_{c}": "" for c in ("ilr_on_solved", "ilr_on_optimal", "swc", "optimal_pct")})
-                else:
-                    for col in ("ilr_on_solved", "ilr_on_optimal", "swc", "optimal_pct"):
-                        entry[f"{tag}_{col}"] = summary[col]
+                for col in evaluation.HEADLINE_METRICS:
+                    entry[f"{tag}_{col}"] = "" if "skipped" in summary else summary[col]
             rows.append(entry)
         evaluation.write_rows_csv(rows, workdir / "comparison.csv")
 

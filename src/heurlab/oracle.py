@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from . import domains
+from . import domains, evaluation
 from .domains import Domain, MazeState, PuzzleInstance
-from .search import HeuristicEvaluator, SearchLimits, TieBreak, astar
+from .search import HeuristicEvaluator, SearchLimits, TieBreak
 from .util import unit_normal
 
 
@@ -153,22 +153,18 @@ def run_oracle_experiment(
     Returns (rows, details): one aggregate row per table line ("all" first,
     then each sigma by section), and the per-(row, seed) metric reports.
     """
-    from .evaluation import compute_metrics, compute_references, solve_all
-
     sigmas = list(sigmas)
     seeds = list(seeds)
-    references, failed = compute_references(instances, limits=limits, tie_break=tie_break, jobs=jobs)
+    references, failed = evaluation.compute_references(instances, limits=limits, tie_break=tie_break, jobs=jobs)
     if failed:
         raise ValueError(f"{len(failed)} instances lack reference solutions: {failed[:5]}")
     tables = {inst.id: oracle_distances(inst) for inst in instances}
 
-    def metrics_for(evaluator_for):
-        results = solve_all(instances, evaluator_for, limits=limits, tie_break=tie_break, jobs=jobs)
-        return compute_metrics(results, references)
-
     rows = []
     details = {}
-    exact = metrics_for(lambda inst: exact_oracle(inst, tables[inst.id]))
+    exact = evaluation.solve_and_score(
+        instances, references, lambda inst: exact_oracle(inst, tables[inst.id]), limits, tie_break, jobs
+    )
     details[("all", None, None)] = exact
     rows.append(_row("all", None, [exact]))
     for sigma in sigmas:
@@ -182,7 +178,8 @@ def run_oracle_experiment(
                     clamp_at_zero=clamp_at_zero,
                     per_query=per_query,
                 )
-                report = metrics_for(lambda inst, s=spec: NoisyOracle(inst, s, tables[inst.id]))
+                noisy = lambda inst: NoisyOracle(inst, spec, tables[inst.id])
+                report = evaluation.solve_and_score(instances, references, noisy, limits, tie_break, jobs)
                 details[(section.value, sigma, seed)] = report
                 per_seed.append(report)
             rows.append(_row(section.value, sigma, per_seed))
@@ -190,18 +187,8 @@ def run_oracle_experiment(
 
 
 def _row(set_name: str, sigma: float | None, reports) -> dict:
-    def mean(attr):
-        vals = [getattr(r, attr) for r in reports]
-        return sum(vals) / len(vals)
-
-    return {
-        "set": set_name,
-        "sigma": sigma,
-        "ilr_on_solved": mean("ilr_on_solved"),
-        "ilr_on_optimal": mean("ilr_on_optimal"),
-        "swc": mean("swc"),
-        "optimal_pct": mean("optimal_pct"),
-    }
+    means = evaluation.mean_over_reports(reports)
+    return {"set": set_name, "sigma": sigma, **{key: means[key] for key in evaluation.HEADLINE_METRICS}}
 
 
 def ordering_holds(rows: Sequence[dict], margin: float = 0.0) -> bool:

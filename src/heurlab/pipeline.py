@@ -180,6 +180,19 @@ def group_by_instance(pool: Sequence[TrainingExample]) -> dict[str, list[Trainin
     return groups
 
 
+def _draw_per_instance(pool: Sequence[TrainingExample], m: int,
+                       draw: Callable[[str, list, int], list]) -> list[TrainingExample]:
+    """Concatenate ``draw(instance_id, group, take)`` over the instances in id
+    order, with take = min(m, len(group)). Each draw seeds itself from the
+    instance id, so results do not depend on pool interleaving."""
+    out = []
+    groups = group_by_instance(pool)
+    for instance_id in sorted(groups):
+        group = groups[instance_id]
+        out.extend(draw(instance_id, group, min(m, len(group))))
+    return out
+
+
 def _planner_aware_draw(group: Sequence[TrainingExample], take: int, tau: float, c_variant: CVariant,
                         seed: int) -> list[TrainingExample]:
     """``take`` SoftMax(C/tau) draws without replacement from one instance's group."""
@@ -195,25 +208,17 @@ def sample_planner_aware(
     seed: int = 0,
 ) -> list[TrainingExample]:
     """Per-instance SoftMax(C/tau) draws without replacement, m per instance
-    (whole group when smaller). Groups are processed in instance-id order with
-    per-instance derived seeds, so results do not depend on pool interleaving."""
-    out = []
-    groups = group_by_instance(pool)
-    for instance_id in sorted(groups):
-        group = groups[instance_id]
-        out.extend(_planner_aware_draw(group, min(m, len(group)), tau, c_variant, seed))
-    return out
+    (whole group when smaller)."""
+    return _draw_per_instance(pool, m, lambda _, group, take: _planner_aware_draw(group, take, tau, c_variant, seed))
 
 
 def sample_uniform(pool: Sequence[TrainingExample], m: int, seed: int = 0) -> list[TrainingExample]:
     """Per-instance uniform draws without replacement, m per instance."""
-    out = []
-    groups = group_by_instance(pool)
-    for instance_id in sorted(groups):
-        group = groups[instance_id]
-        rng = random.Random(derive_seed(seed, "uniform", instance_id))
-        out.extend(rng.sample(group, min(m, len(group))))
-    return out
+
+    def draw(instance_id, group, take):
+        return random.Random(derive_seed(seed, "uniform", instance_id)).sample(group, take)
+
+    return _draw_per_instance(pool, m, draw)
 
 
 def per_problem_m(budget: int, n_instances: int) -> int:
@@ -459,33 +464,19 @@ def combine_resample(
 def combine_with_baseline(
     pool: Sequence[TrainingExample],
     m: int,
-    baseline_selector: Callable[[Sequence[TrainingExample], int, int], list[TrainingExample]],
     tau: float,
     c_variant: CVariant = CVariant.LOG_RATIO,
     seed: int = 0,
 ) -> list[TrainingExample]:
-    """Per instance: m baseline draws, m planner-aware draws, then resample m
-    from the union with intersection members double-weighted.
+    """Per instance: m semdedup draws, m planner-aware draws, then resample m
+    from the union with intersection members double-weighted."""
 
-    ``baseline_selector(group, m, seed)`` must draw without replacement.
-    """
-    out = []
-    groups = group_by_instance(pool)
-    for instance_id in sorted(groups):
-        group = groups[instance_id]
-        take = min(m, len(group))
-        s1 = baseline_selector(group, take, derive_seed(seed, "baseline", instance_id))
+    def draw(instance_id, group, take):
+        s1 = semdedup_select(group, take, seed=derive_seed(seed, "baseline", instance_id))
         s2 = _planner_aware_draw(group, take, tau, c_variant, seed)
-        out.extend(combine_resample(s1, s2, take, random.Random(derive_seed(seed, "combine", instance_id))))
-    return out
+        return combine_resample(s1, s2, take, random.Random(derive_seed(seed, "combine", instance_id)))
 
-
-def uniform_baseline(group: Sequence[TrainingExample], m: int, seed: int) -> list[TrainingExample]:
-    return random.Random(seed).sample(list(group), m)
-
-
-def semdedup_baseline(group: Sequence[TrainingExample], m: int, seed: int) -> list[TrainingExample]:
-    return semdedup_select(group, m, seed=seed)
+    return _draw_per_instance(pool, m, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +529,7 @@ def run_strategy(pool: Sequence[TrainingExample], spec: SamplingSpec) -> list[Tr
     elif spec.strategy is Strategy.PLANNER_AWARE:
         selector = lambda p, m: sample_planner_aware(p, m, spec.tau, spec.c_variant, spec.seed)
     elif spec.strategy is Strategy.COMBINED:
-        selector = lambda p, m: combine_with_baseline(p, m, semdedup_baseline, spec.tau, spec.c_variant, spec.seed)
+        selector = lambda p, m: combine_with_baseline(p, m, spec.tau, spec.c_variant, spec.seed)
     else:
         raise ValueError(f"unknown strategy {spec.strategy}")
     if spec.total_budget is not None:
@@ -584,7 +575,13 @@ def write_pool(pool: Sequence[TrainingExample], path: str | Path) -> None:
 
 
 def read_pool(path: str | Path) -> list[TrainingExample]:
-    return [record_to_example(rec) for rec in read_jsonl(path)]
+    pool = []
+    for number, rec in enumerate(read_jsonl(path), 1):
+        try:
+            pool.append(record_to_example(rec))
+        except KeyError as exc:
+            raise ValueError(f"{path}: record {number} has no field {exc}") from None
+    return pool
 
 
 PROMPT_TEMPLATE = """import torch

@@ -65,8 +65,17 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """One record per non-blank line; a line that is not JSON raises
+    ``ValueError("<path>:<line>: <reason>")``."""
+    records = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
+    return records
 
 
 def content_hash(obj: object) -> str:

@@ -188,6 +188,26 @@ def test_sample_budget_and_determinism(pool_file, tmp_path, capsys):
     assert "planner_aware: 10 of" in capsys.readouterr().out
 
 
+def test_truncated_pool_line_names_its_file_and_line(pool_file, tmp_path, capsys):
+    lines = Path(pool_file).read_text().splitlines(keepends=True)
+    bad = tmp_path / "truncated.jsonl"
+    bad.write_text(lines[0] + lines[1][:24] + "\n" + "".join(lines[2:]))
+    out = tmp_path / "s.jsonl"
+    assert run_cli(["sample", "--pool", bad, "--out", out, "--budget", "5"]) == 3
+    assert f"error: {bad}:2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pool_record_missing_a_field_names_it(pool_file, tmp_path, capsys):
+    lines = Path(pool_file).read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    del record["state_key"]
+    bad = tmp_path / "short.jsonl"
+    bad.write_text("".join(lines[:2]) + json.dumps(record) + "\n" + "".join(lines[3:]))
+    assert run_cli(["train", "--pool", bad, "--out", tmp_path / "m.json"]) == 3
+    assert f"error: {bad}: record 3 has no field 'state_key'" in capsys.readouterr().err
+
+
 def test_sample_section_split_needs_section(pool_file, tmp_path, capsys):
     code = run_cli(["sample", "--pool", pool_file, "--out", str(tmp_path / "s.jsonl"),
                     "--strategy", "section_split", "--budget", "9"])

@@ -1,5 +1,7 @@
 """Metric computation, reference solves, and experiment aggregation."""
 
+import random
+
 import pytest
 
 from conftest import maze_bfs_distance
@@ -210,3 +212,155 @@ def test_write_report_layout(tmp_path, maze_train_150):
     kinds = [r["kind"] for r in records]
     assert kinds[0] == "manifest"
     assert "summary" in kinds
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the scoring path against the counter-based implementation
+# it replaced: the same rows, column order and float operations, so every
+# report, aggregate and oracle-table row compares equal with ``==``.
+
+def _counter_metrics(results, references):
+    rows = []
+    errors = []
+    ilr_solved = []
+    ilr_optimal = []
+    itr_solved = []
+    itr_optimal = []
+    swc_total = 0.0
+    n_total = 0
+    n_solved = 0
+    n_optimal = 0
+    for instance_id in sorted(results):
+        result = results[instance_id]
+        ref = references.get(instance_id)
+        if ref is None:
+            errors.append({"instance_id": instance_id, "error": "missing_reference"})
+            continue
+        n_total += 1
+        row = {
+            "instance_id": instance_id,
+            "status": result.status.value,
+            "s_ref": ref.closed_length,
+            "s_run": result.closed_length,
+            "plan_ref": ref.plan_length,
+            "plan_run": result.path_length if result.solved else None,
+            "wall_ref": ref.wall_time,
+            "wall_run": result.wall_time,
+            "ilr": None,
+            "swc": 0.0,
+            "itr": None,
+            "optimal": False,
+        }
+        if result.solved:
+            n_solved += 1
+            ilr = ref.closed_length / result.closed_length if result.closed_length else 1.0
+            itr = ref.wall_time / result.wall_time
+            swc = ref.plan_length / result.path_length if result.path_length else 1.0
+            row.update(ilr=ilr, itr=itr, swc=swc)
+            swc_total += swc
+            ilr_solved.append(ilr)
+            itr_solved.append(itr)
+            if result.path_length == ref.plan_length:
+                n_optimal += 1
+                row["optimal"] = True
+                ilr_optimal.append(ilr)
+                itr_optimal.append(itr)
+        rows.append(row)
+
+    def mean(values):
+        return sum(values) / len(values) if values else 0.0
+
+    return MetricsReport(
+        ilr_on_solved=mean(ilr_solved),
+        ilr_on_optimal=mean(ilr_optimal),
+        swc=swc_total / n_total if n_total else 0.0,
+        optimal_pct=100.0 * n_optimal / n_total if n_total else 0.0,
+        itr_on_solved=mean(itr_solved),
+        itr_on_optimal=mean(itr_optimal),
+        n_total=n_total,
+        n_solved=n_solved,
+        n_optimal=n_optimal,
+        rows=rows,
+        errors=errors,
+    )
+
+
+def _counter_aggregate(reports):
+    keys = ["ilr_on_solved", "ilr_on_optimal", "swc", "optimal_pct", "itr_on_solved", "itr_on_optimal"]
+    aggregate = {}
+    for key in keys:
+        values = [getattr(report, key) for report in reports]
+        m = sum(values) / len(values)
+        var = sum((v - m) ** 2 for v in values) / len(values)
+        aggregate[key] = m
+        aggregate[key + "_std"] = var**0.5
+    return aggregate
+
+
+def _counter_oracle_row(set_name, sigma, reports):
+    def mean(attr):
+        vals = [getattr(r, attr) for r in reports]
+        return sum(vals) / len(vals)
+
+    return {
+        "set": set_name,
+        "sigma": sigma,
+        "ilr_on_solved": mean("ilr_on_solved"),
+        "ilr_on_optimal": mean("ilr_on_optimal"),
+        "swc": mean("swc"),
+        "optimal_pct": mean("optimal_pct"),
+    }
+
+
+SCORING_SETS = 320
+
+
+def _random_run(rng, n_instances):
+    """Seeded results and references: unsolved runs (some with a stray path
+    length equal to the reference's), missing references, zero closed and
+    plan lengths, suboptimal and shorter-than-reference plans."""
+    results = {}
+    references = {}
+    for i in range(n_instances):
+        instance_id = f"i{rng.randrange(1000):03d}"
+        plan_ref = rng.choice([0, 0, 1, 5, 12, rng.randrange(40)])
+        closed_ref = 0 if plan_ref == 0 else rng.randrange(plan_ref, 400)
+        if rng.random() > 0.15:
+            references[instance_id] = _ref(instance_id, closed_ref, plan_ref, wall=rng.uniform(1e-4, 3.0))
+        closed_run = rng.choice([0, closed_ref, rng.randrange(1, 800)])
+        wall_run = rng.uniform(1e-4, 3.0)
+        if rng.random() < 0.3:
+            status = rng.choice([Status.LIMIT_EXCEEDED, Status.FRONTIER_EXHAUSTED])
+            stray = rng.choice([0, plan_ref])
+            results[instance_id] = SearchResult(status, path_length=stray, closed_length=closed_run, wall_time=wall_run)
+        else:
+            plan_run = rng.choice([plan_ref, plan_ref, plan_ref + rng.randrange(1, 6), max(plan_ref - 1, 0)])
+            results[instance_id] = _run(closed_run, plan_run, wall=wall_run)
+    return results, references
+
+
+def test_scoring_path_is_bit_identical_to_the_counter_implementation(monkeypatch):
+    from heurlab import evaluation, oracle
+
+    rng = random.Random(20261018)
+    for _ in range(SCORING_SETS):
+        runs = [_random_run(rng, rng.choice([0, 1, 2, 5, 9, 16])) for _ in range(rng.randint(1, 4))]
+        new = [compute_metrics(results, references) for results, references in runs]
+        old = [_counter_metrics(results, references) for results, references in runs]
+        for a, b in zip(new, old):
+            assert a == b
+            assert [list(row.items()) for row in a.rows] == [list(row.items()) for row in b.rows]
+            assert list(a.summary().items()) == list(b.summary().items())
+        assert list(evaluation.mean_over_reports(new).items()) == list(_counter_aggregate(old).items())
+        assert list(oracle._row("middle", 2.0, new).items()) == list(_counter_oracle_row("middle", 2.0, old).items())
+
+        # run_experiment solves once per seed through evaluation.solve_all.
+        queue = [results for results, _ in runs]
+        monkeypatch.setattr(evaluation, "solve_all", lambda *args, **kwargs: queue.pop(0))
+        merged = {}
+        for _, references in runs:
+            merged.update(references)
+        outcome = run_experiment([], merged, None, seeds=list(range(len(runs))))
+        expected = [_counter_metrics(results, merged) for results, _ in runs]
+        assert [report for _, report in outcome.per_seed] == expected
+        assert list(outcome.aggregate.items()) == list(_counter_aggregate(expected).items())

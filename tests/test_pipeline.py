@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from heurlab import domains, evaluation, generation, pipeline
+from heurlab import domains, evaluation, generation
 from heurlab.domains import Domain, maze
 from heurlab.oracle import SectionLabel, section_of
 from heurlab.pipeline import (
@@ -327,11 +327,11 @@ def test_combine_resample_identical_sets_return_the_union():
 
 def test_combine_with_baseline_takes_m_per_instance():
     pool = _fake_group("a", 30) + _fake_group("b", 30)
-    out = combine_with_baseline(pool, 6, pipeline.uniform_baseline, tau=2.0, seed=1)
+    out = combine_with_baseline(pool, 6, tau=2.0, seed=1)
     groups = group_by_instance(out)
     assert {len(g) for g in groups.values()} == {6}
     assert sorted(groups) == ["a", "b"]
-    again = combine_with_baseline(pool, 6, pipeline.uniform_baseline, tau=2.0, seed=1)
+    again = combine_with_baseline(pool, 6, tau=2.0, seed=1)
     assert [(ex.instance_id, ex.g) for ex in again] == [(ex.instance_id, ex.g) for ex in out]
 
 

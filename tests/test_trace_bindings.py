@@ -1,0 +1,63 @@
+"""The benchmark's tracing wrappers still fit the program.
+
+``perfbench/traced.py`` wraps functions at the module bindings their callers
+look up at call time. A refactor that moves or renames one of those bindings
+breaks the traced benchmark run; these tests make it fail the test suite
+instead. They import the tracer and edit nothing under ``perfbench/``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from heurlab import cli, evaluation, oracle, pipeline, util
+
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+
+def _load_traced():
+    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_resolves_and_is_restored():
+    traced = _load_traced()
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer)  # a binding that no longer exists raises here
+        patched = list(tracer._patched)
+        for owner, attr, original in patched:
+            assert getattr(owner, attr).__wrapped__ is original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.restore()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+    bindings = {(owner, attr) for owner, attr, _ in patched}
+    for binding in [
+        (evaluation, "solve_all"),
+        (evaluation, "astar"),
+        (evaluation, "write_report"),
+        (cli, "cmd_eval"),
+        (cli, "read_jsonl"),
+        (oracle.NoisyOracle, "evaluate_batch"),
+        (pipeline, "read_pool"),
+        (util, "read_jsonl"),
+    ]:
+        assert binding in bindings
+
+
+def test_oracle_study_solves_through_the_traced_bindings(maze_train_150):
+    # One reference pass, one exact pass and one pass per section for a
+    # single sigma and seed: five solve_all calls, all seen by the tracer.
+    traced = _load_traced()
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer)
+        oracle.run_oracle_experiment(maze_train_150[:2], sigmas=[2.0], seeds=[1])
+    finally:
+        tracer.restore()
+    assert tracer.stats["evaluation.solve_all"][0] == 5
+    assert tracer.stats["search.astar"][0] == 10
+    assert tracer.stats["oracle.NoisyOracle.evaluate_batch"][0] > 0
+    assert tracer.counters["search.oracle.expansions"] > 0
