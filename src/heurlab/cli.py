@@ -19,9 +19,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import domains, evaluation, generation, models, oracle, pipeline
+from . import evaluation, generation, models, oracle, pipeline
 from .domains import Domain
-from .search import SearchLimits, TieBreak
+from .search import SearchLimits, TieBreak, ZeroHeuristic
 from .util import atomic_write, content_hash, derive_seed, read_jsonl, write_jsonl
 
 EXIT_OK = 0
@@ -35,7 +35,16 @@ DOMAIN_TAU = {Domain.MAZE: 2.0, Domain.SOKOBAN: 0.8, Domain.STP: 5.0}
 # The combined strategy favors a flatter draw on Sokoban.
 DOMAIN_COMBINED_TAU = {Domain.MAZE: 2.0, Domain.SOKOBAN: 5.0, Domain.STP: 5.0}
 
-PIPELINE_ROWS = ("full_data", "uniform", "planner_aware", "semdedup", "semdedup_planner")
+# Comparison rows of `pipeline`, in their default order: row -> (sampling
+# strategy, config key of its temperature or None for the default tau).
+# full_data trains on the whole pool.
+PIPELINE_ROWS = {
+    "full_data": None,
+    "uniform": (pipeline.Strategy.UNIFORM, None),
+    "planner_aware": (pipeline.Strategy.PLANNER_AWARE, "tau"),
+    "semdedup": (pipeline.Strategy.SEMDEDUP, None),
+    "semdedup_planner": (pipeline.Strategy.COMBINED, "combined_tau"),
+}
 
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
@@ -55,15 +64,9 @@ def _env_seed() -> int:
 
 
 def _limits(args) -> SearchLimits | None:
-    max_iter = getattr(args, "max_iterations", None)
-    max_wall = getattr(args, "max_wall_time", None)
-    if max_iter is None and max_wall is None:
+    if args.max_iterations is None and args.max_wall_time is None:
         return None
-    return SearchLimits(max_iterations=max_iter, max_wall_time=max_wall)
-
-
-def _tie_break(args) -> TieBreak:
-    return TieBreak(getattr(args, "tie_break", "larger_g"))
+    return SearchLimits(max_iterations=args.max_iterations, max_wall_time=args.max_wall_time)
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -76,6 +79,21 @@ def _comma_names(text: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Parser construction and config-file merging
+
+def _limit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--max-wall-time", type=float)
+
+
+def _heuristic_flags(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--heuristic", choices=["quick", "zero", "learned"], default=default)
+    p.add_argument("--model", help="model file for --heuristic learned")
+
+
+def _model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model-kind", choices=[k.value for k in models.ModelKind], default="knn")
+    p.add_argument("--k", type=int, default=8)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -107,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = register("solve", "solve an instance directory and write per-instance results")
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True, help="results file (line-delimited records)")
-    p.add_argument("--heuristic", choices=["quick", "zero", "learned"], default="quick")
-    p.add_argument("--model", help="model file for --heuristic learned")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--max-wall-time", type=float)
+    _heuristic_flags(p, "quick")
+    _limit_flags(p)
     p.add_argument("--tie-break", choices=[t.value for t in TieBreak], default="larger_g")
     p.set_defaults(func=cmd_solve)
 
@@ -124,15 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 unless End > Middle > Initial by --margin at every sigma")
     p.add_argument("--per-query", action="store_true", help="redraw noise on every query")
     p.add_argument("--no-clamp", action="store_true", help="allow negative noised heuristics")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--max-wall-time", type=float)
+    _limit_flags(p)
     p.set_defaults(func=cmd_oracle_study)
 
     p = register("extract", "solve a split with the quick heuristic and extract the training pool")
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True, help="pool file (line-delimited records)")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--max-wall-time", type=float)
+    _limit_flags(p)
     p.set_defaults(func=cmd_extract)
 
     p = register("sample", "select training examples from a pool")
@@ -151,22 +165,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = register("train", "fit a residual model on a selection")
     p.add_argument("--pool", required=True, help="selection file from `sample` or `extract`")
     p.add_argument("--out", required=True, help="model file")
-    p.add_argument("--model-kind", choices=[k.value for k in models.ModelKind], default="knn")
-    p.add_argument("--k", type=int, default=8)
+    _model_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = register("eval", "run a heuristic over a split and report the metrics")
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--name", default="eval", help="report file prefix")
-    p.add_argument("--heuristic", choices=["quick", "zero", "learned"], default="learned")
-    p.add_argument("--model", help="model file for --heuristic learned")
+    _heuristic_flags(p, "learned")
     p.add_argument("--references", help="reference file; computed (and saved here) when missing")
     p.add_argument("--eval-seeds", type=int, default=1, help="independent timing repeats")
     p.add_argument("--no-residual-floor", action="store_true")
     p.add_argument("--round-predictions", action="store_true")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--max-wall-time", type=float)
+    _limit_flags(p)
     p.add_argument("--tie-break", choices=[t.value for t in TieBreak], default="larger_g")
     p.set_defaults(func=cmd_eval)
 
@@ -178,11 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="selection budget before scaling (domain default)")
     p.add_argument("--tau", type=float, help="planner-aware temperature (domain default)")
     p.add_argument("--combined-tau", type=float, help="temperature for semdedup_planner (domain default)")
-    p.add_argument("--model-kind", choices=[k.value for k in models.ModelKind], default="knn")
-    p.add_argument("--k", type=int, default=8)
+    _model_flags(p)
     p.add_argument("--boxoban", help="Sokoban source boards (required for --domain sokoban)")
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--max-wall-time", type=float)
+    _limit_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = register("export-prompts", "render a selection as code-style prompt/target records")
@@ -261,17 +270,35 @@ def _build_split(domain: Domain, split: str, seed: int, scale: float, jobs: int,
     return generation.build_sokoban_split(split, seed, _load_boxoban(boxoban), scale=scale)
 
 
-def _evaluator_factory(args, model):
-    kind = args.heuristic
-    if kind == "quick":
+def _evaluator_factory(args, instances):
+    """Per-instance evaluators for ``--heuristic``. A learned model is loaded
+    and checked against ``instances`` here, before anything is solved."""
+    if args.heuristic == "quick":
         return lambda inst: evaluation.QuickHeuristic()
-    if kind == "zero":
-        from .search import ZeroHeuristic
-
+    if args.heuristic == "zero":
         return lambda inst: ZeroHeuristic()
+    if not args.model:
+        raise UsageError("--heuristic learned needs --model")
+    model = models.load_model(args.model)
+    reason = models.mismatch_reason(model, instances)
+    if reason:
+        raise ValueError(f"{args.model} cannot score {args.instances}: {reason}")
+    # Only eval declares the two prediction flags.
     floor = not getattr(args, "no_residual_floor", False)
     round_preds = getattr(args, "round_predictions", False)
-    return lambda inst: models.learned_heuristic(model, floor_at_zero=floor, round_predictions=round_preds)
+    return lambda inst: models.LearnedHeuristic(model, floor, round_preds)
+
+
+def _read_references(path) -> dict:
+    """A reference file; a record without a field fails naming the file,
+    the record and the field, as ``pipeline.read_pool`` does."""
+    references = {}
+    for number, rec in enumerate(read_jsonl(path), 1):
+        try:
+            references.update(evaluation.references_from_records([rec]))
+        except KeyError as exc:
+            raise ValueError(f"{path}: record {number} has no field {exc}") from None
+    return references
 
 
 def _quick_pool(instances, limits, jobs):
@@ -304,9 +331,8 @@ def cmd_generate(args) -> int:
     if unknown:
         raise UsageError(f"unknown splits {unknown}; {domain.value} has {list(catalogue)}")
     out_root = Path(args.out)
-    boxoban = getattr(args, "boxoban", None)
     for split in names:
-        instances = _build_split(domain, split, args.seed, args.scale, args.jobs, boxoban)
+        instances = _build_split(domain, split, args.seed, args.scale, args.jobs, args.boxoban)
         out_dir = out_root / domain.value / split
         generation.write_split(instances, out_dir, force=args.force)
         print(f"{domain.value}/{split}: {len(instances)} instances -> {out_dir}")
@@ -315,11 +341,10 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     instances = generation.read_split(args.instances)
-    if args.heuristic == "learned" and not args.model:
-        raise UsageError("--heuristic learned needs --model")
-    model = models.load_model(args.model) if args.heuristic == "learned" else None
-    factory = _evaluator_factory(args, model)
-    results = evaluation.solve_all(instances, factory, limits=_limits(args), tie_break=_tie_break(args), jobs=args.jobs)
+    factory = _evaluator_factory(args, instances)
+    results = evaluation.solve_all(
+        instances, factory, limits=_limits(args), tie_break=TieBreak(args.tie_break), jobs=args.jobs
+    )
     rows = [_result_row(iid, results[iid]) for iid in sorted(results)]
     write_jsonl(args.out, rows)
     solved = sum(1 for r in rows if r["status"] == "solution_found")
@@ -398,25 +423,23 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     instances = generation.read_split(args.instances)
-    if args.heuristic == "learned" and not args.model:
-        raise UsageError("--heuristic learned needs --model")
+    factory = _evaluator_factory(args, instances)
     limits = _limits(args)
     if args.references and Path(args.references).exists():
-        references = evaluation.references_from_records(read_jsonl(args.references))
+        references = _read_references(args.references)
     else:
         references, failed = evaluation.compute_references(instances, limits=limits, jobs=args.jobs)
         if failed:
             print(f"warning: {len(failed)} instances had no reference solve", file=sys.stderr)
         if args.references:
             write_jsonl(args.references, evaluation.reference_records(references))
-    model = models.load_model(args.model) if args.heuristic == "learned" else None
     outcome = evaluation.run_experiment(
         instances,
         references,
-        _evaluator_factory(args, model),
+        factory,
         seeds=list(range(args.eval_seeds)),
         limits=limits,
-        tie_break=_tie_break(args),
+        tie_break=TieBreak(args.tie_break),
         jobs=args.jobs,
         config={"heuristic": args.heuristic, "model": args.model, "name": args.name},
     )
@@ -461,23 +484,6 @@ def _pipeline_config(args, domain: Domain) -> dict:
         "max_iterations": args.max_iterations,
         "max_wall_time": args.max_wall_time,
     }
-
-
-def _sampling_spec(row: str, cfg: dict, budget: int) -> pipeline.SamplingSpec | None:
-    seed = derive_seed(cfg["seed"], "sample", row)
-    if row == "full_data":
-        return None
-    if row == "uniform":
-        return pipeline.SamplingSpec(strategy=pipeline.Strategy.UNIFORM, total_budget=budget, seed=seed)
-    if row == "planner_aware":
-        return pipeline.SamplingSpec(
-            strategy=pipeline.Strategy.PLANNER_AWARE, tau=cfg["tau"], total_budget=budget, seed=seed
-        )
-    if row == "semdedup":
-        return pipeline.SamplingSpec(strategy=pipeline.Strategy.SEMDEDUP, total_budget=budget, seed=seed)
-    return pipeline.SamplingSpec(
-        strategy=pipeline.Strategy.COMBINED, tau=cfg["combined_tau"], total_budget=budget, seed=seed
-    )
 
 
 def cmd_pipeline(args) -> int:
@@ -527,12 +533,10 @@ def cmd_pipeline(args) -> int:
             print(f"  {split}: {len(failed)} instances had no reference solve; excluded", file=sys.stderr)
         write_jsonl(workdir / "references" / f"{split}.jsonl", evaluation.reference_records(refs))
 
-    for split in ("test_iid", "test_ood"):
+    eval_splits = ("test_iid", "test_ood")
+    for split in eval_splits:
         stage(f"references/{split}", [f"references/{split}.jsonl"], lambda split=split: build_references(split))
-    references = {
-        split: evaluation.references_from_records(read_jsonl(workdir / "references" / f"{split}.jsonl"))
-        for split in ("test_iid", "test_ood")
-    }
+    references = {split: _read_references(workdir / "references" / f"{split}.jsonl") for split in eval_splits}
 
     # 3. training pool from quick solves of the train split
     def build_pool():
@@ -547,8 +551,12 @@ def cmd_pipeline(args) -> int:
 
     # 4. per-strategy selections
     def build_selection(row):
-        spec = _sampling_spec(row, cfg, budget)
-        selection = list(pool) if spec is None else pipeline.run_strategy(pool, spec)
+        selection = pool
+        if PIPELINE_ROWS[row]:
+            strategy, tau_key = PIPELINE_ROWS[row]
+            tau = {"tau": cfg[tau_key]} if tau_key else {}
+            seed = derive_seed(cfg["seed"], "sample", row)
+            selection = pipeline.run_strategy(pool, pipeline.SamplingSpec(strategy, total_budget=budget, seed=seed, **tau))
         pipeline.write_pool(selection, workdir / "selections" / f"{row}.jsonl")
 
     for row in cfg["strategies"]:
@@ -572,24 +580,19 @@ def cmd_pipeline(args) -> int:
     # 6. evaluation per strategy and split
     def build_eval(row, split):
         model = models.load_model(workdir / "models" / f"{row}.json")
-        split_instances = instances[split]
-        dims = {len(domains.feature_vector(inst.start_state, inst)) for inst in split_instances}
-        usable = dims == {model.n_features}
         out_dir = workdir / "eval"
         name = f"{row}_{split}"
-        if not usable:
-            # Board sizes whose feature dimensionality differs from the
-            # training boards cannot be scored by the built-in models.
-            evaluation.write_rows_csv(
-                [{"strategy": row, "split": split, "skipped": "feature dimensionality differs from training"}],
-                out_dir / f"{name}_summary.csv",
-            )
-            print(f"  {name}: skipped (feature dimensionality differs)", file=sys.stderr)
+        reason = models.mismatch_reason(model, instances[split])
+        if reason:
+            # e.g. sliding-tile test_ood boards are wider than the training boards
+            evaluation.write_rows_csv([{"strategy": row, "split": split, "skipped": reason}],
+                                      out_dir / f"{name}_summary.csv")
+            print(f"  {name}: skipped ({reason})", file=sys.stderr)
             return
         outcome = evaluation.run_experiment(
-            split_instances,
+            instances[split],
             references[split],
-            lambda inst: models.learned_heuristic(model),
+            lambda inst: models.LearnedHeuristic(model),
             seeds=[0],
             limits=limits,
             jobs=args.jobs,
@@ -599,7 +602,7 @@ def cmd_pipeline(args) -> int:
         evaluation.write_report(report, out_dir, name, manifest=outcome.manifest)
 
     for row in cfg["strategies"]:
-        for split in ("test_iid", "test_ood"):
+        for split in eval_splits:
             stage(f"eval/{row}_{split}", [f"eval/{row}_{split}_summary.csv"],
                   lambda row=row, split=split: build_eval(row, split))
 

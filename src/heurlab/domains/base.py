@@ -117,6 +117,15 @@ def freeze_grid(rows: list[list[bool]]) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def render_grid(walls, floor: str, overlay: dict[Cell, str]) -> str:
+    """Rows of ``walls`` as '#' or ``floor``, then ``overlay`` written over its
+    cells in insertion order, so a later entry for a cell wins."""
+    rows = [["#" if is_wall else floor for is_wall in row] for row in walls]
+    for (r, c), char in overlay.items():
+        rows[r][c] = char
+    return "\n".join("".join(row) for row in rows)
+
+
 def occupancy_window(predicate, center: Cell, radius: int = 2) -> list[float]:
     """Flattened (2r+1)^2 window around ``center``; out-of-board counts as occupied."""
     r0, c0 = center

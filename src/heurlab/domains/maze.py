@@ -13,6 +13,7 @@ from .base import (
     freeze_grid,
     manhattan,
     occupancy_window,
+    render_grid,
 )
 
 LEGEND = "@ - player, # - wall, . - empty cell, X - goal"
@@ -79,22 +80,8 @@ def bfs_distances(walls, start: Cell) -> list[int]:
 
 def render_ascii(instance: PuzzleInstance, state: MazeState | None = None) -> str:
     player = (state or instance.start_state).player
-    goal = instance.goal_spec
-    walls = instance.board.walls
-    rows = []
-    for r, row in enumerate(walls):
-        chars = []
-        for c, is_wall in enumerate(row):
-            if (r, c) == player:
-                chars.append("@")
-            elif (r, c) == goal:
-                chars.append("X")
-            elif is_wall:
-                chars.append("#")
-            else:
-                chars.append(".")
-        rows.append("".join(chars))
-    return "\n".join(rows)
+    # A player on the goal shows as the player.
+    return render_grid(instance.board.walls, ".", {instance.goal_spec: "X", player: "@"})
 
 
 def parse_ascii(text: str) -> PuzzleInstance:

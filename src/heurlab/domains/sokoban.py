@@ -14,6 +14,7 @@ from .base import (
     freeze_grid,
     manhattan,
     occupancy_window,
+    render_grid,
 )
 from .hungarian import hungarian_min_cost
 
@@ -79,27 +80,12 @@ def _assignment_cost(boxes, docks) -> int:
 
 def render_ascii(instance: PuzzleInstance, state: SokobanState | None = None) -> str:
     state = state or instance.start_state
-    walls = instance.board.walls
     docks = frozenset(instance.board.docks)
-    boxes = frozenset(state.boxes)
-    player = state.player
-    rows = []
-    for r, row in enumerate(walls):
-        chars = []
-        for c, is_wall in enumerate(row):
-            cell = (r, c)
-            if cell == player:
-                chars.append("O" if cell in docks else "@")
-            elif cell in boxes:
-                chars.append("X" if cell in docks else "$")
-            elif is_wall:
-                chars.append("#")
-            elif cell in docks:
-                chars.append(".")
-            else:
-                chars.append(" ")
-        rows.append("".join(chars))
-    return "\n".join(rows)
+    overlay = dict.fromkeys(docks, ".")
+    for box in state.boxes:
+        overlay[box] = "X" if box in docks else "$"
+    overlay[state.player] = "O" if state.player in docks else "@"
+    return render_grid(instance.board.walls, " ", overlay)
 
 
 def parse_ascii(text: str) -> PuzzleInstance:

@@ -109,7 +109,8 @@ def feature_vector(state: StpState, instance: PuzzleInstance) -> list[float]:
         r, c = divmod(idx, w)
         gr, gc = pos[tile]
         hist[abs(r - gr) + abs(c - gc)] += 1.0
-    feats = [float(quick_heuristic(state, instance)), zr / (w - 1), zc / (w - 1)]
+    # Column 0 is quick_heuristic: the displacements summed from their histogram.
+    feats = [sum(d * count for d, count in enumerate(hist)), zr / (w - 1), zc / (w - 1)]
     feats.extend(hist)
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):

@@ -81,11 +81,11 @@ def solve_all(
 def compute_references(
     instances: Sequence[PuzzleInstance],
     limits: SearchLimits | None = None,
-    tie_break: TieBreak = TieBreak.LARGER_G,
     jobs: int = 1,
 ) -> tuple[dict[str, ReferenceSolution], list[str]]:
-    """Quick-heuristic reference solves. Returns (references, unsolved ids)."""
-    results = solve_all(instances, lambda inst: QuickHeuristic(), limits=limits, tie_break=tie_break, jobs=jobs)
+    """Quick-heuristic reference solves, with the default larger-g tie-break.
+    Returns (references, unsolved ids)."""
+    results = solve_all(instances, lambda inst: QuickHeuristic(), limits=limits, jobs=jobs)
     references = {}
     failed = []
     for inst in instances:

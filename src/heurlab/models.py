@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import domains
-from .domains import Domain
+from .domains import Domain, PuzzleInstance
 from .pipeline import TrainingExample, nearest_neighbors, prepare_points
 from .search import HeuristicEvaluator
 from .util import atomic_write, derive_seed
@@ -187,15 +187,15 @@ class LearnedHeuristic(HeuristicEvaluator):
         return (feats[:, 0] + preds).tolist()
 
 
-def learned_heuristic(
-    model: ResidualModel,
-    domain: Domain | None = None,
-    floor_at_zero: bool = True,
-    round_predictions: bool = False,
-) -> LearnedHeuristic:
-    if domain is not None and model.domain is not Domain(domain):
-        raise ValueError(f"model was trained for {model.domain.value}, not {Domain(domain).value}")
-    return LearnedHeuristic(model, floor_at_zero, round_predictions)
+def mismatch_reason(model: ResidualModel, instances: Sequence[PuzzleInstance]) -> str | None:
+    """Why ``model`` cannot score ``instances``, or None when it can: every
+    instance must be of the model's domain and have its feature width."""
+    for inst in instances:
+        if inst.domain is not model.domain:
+            return f"model was trained for {model.domain.value}, not {inst.domain.value}"
+        if len(domains.feature_vector(inst.start_state, inst)) != model.n_features:
+            return "feature dimensionality differs from training"
+    return None
 
 
 # ---------------------------------------------------------------------------

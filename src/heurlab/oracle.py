@@ -143,7 +143,6 @@ def run_oracle_experiment(
     sigmas: Iterable[float],
     seeds: Iterable[int],
     limits: SearchLimits | None = None,
-    tie_break: TieBreak = TieBreak.LARGER_G,
     clamp_at_zero: bool = True,
     per_query: bool = False,
     jobs: int = 1,
@@ -155,7 +154,7 @@ def run_oracle_experiment(
     """
     sigmas = list(sigmas)
     seeds = list(seeds)
-    references, failed = evaluation.compute_references(instances, limits=limits, tie_break=tie_break, jobs=jobs)
+    references, failed = evaluation.compute_references(instances, limits=limits, jobs=jobs)
     if failed:
         raise ValueError(f"{len(failed)} instances lack reference solutions: {failed[:5]}")
     tables = {inst.id: oracle_distances(inst) for inst in instances}
@@ -163,7 +162,7 @@ def run_oracle_experiment(
     rows = []
     details = {}
     exact = evaluation.solve_and_score(
-        instances, references, lambda inst: exact_oracle(inst, tables[inst.id]), limits, tie_break, jobs
+        instances, references, lambda inst: exact_oracle(inst, tables[inst.id]), limits, TieBreak.LARGER_G, jobs
     )
     details[("all", None, None)] = exact
     rows.append(_row("all", None, [exact]))
@@ -179,7 +178,7 @@ def run_oracle_experiment(
                     per_query=per_query,
                 )
                 noisy = lambda inst: NoisyOracle(inst, spec, tables[inst.id])
-                report = evaluation.solve_and_score(instances, references, noisy, limits, tie_break, jobs)
+                report = evaluation.solve_and_score(instances, references, noisy, limits, TieBreak.LARGER_G, jobs)
                 details[(section.value, sigma, seed)] = report
                 per_seed.append(report)
             rows.append(_row(section.value, sigma, per_seed))

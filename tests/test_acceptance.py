@@ -234,7 +234,7 @@ def test_criterion_09_planner_aware_beats_uniform(maze_pool_150, maze_test_100):
             selection = pipeline.run_strategy(maze_pool_150, spec)
             assert len(selection) == 2000
             model = models.train_residual_model(selection, "knn", k=8, seed=seed)
-            results = evaluation.solve_all(maze_test_100, lambda inst: models.learned_heuristic(model), jobs=4)
+            results = evaluation.solve_all(maze_test_100, lambda inst: models.LearnedHeuristic(model), jobs=4)
             ilr[strategy] = evaluation.compute_metrics(results, refs).ilr_on_solved
         scores.append((ilr[pipeline.Strategy.PLANNER_AWARE], ilr[pipeline.Strategy.UNIFORM]))
         if ilr[pipeline.Strategy.PLANNER_AWARE] >= ilr[pipeline.Strategy.UNIFORM]:

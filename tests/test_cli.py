@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from heurlab import cli, generation, pipeline, util
+from heurlab.domains import stp
 from heurlab.util import atomic_write, read_jsonl
 
 from test_acceptance import _normalized
@@ -60,6 +61,36 @@ def test_every_subcommand_is_registered():
         "train", "eval", "pipeline", "export-prompts",
     }
     assert expected <= set(cli._SUBPARSERS)
+
+
+def _option_table():
+    cli.build_parser()
+    return {
+        name: [
+            {
+                "option_strings": action.option_strings,
+                "dest": action.dest,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", None),
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required,
+                "nargs": action.nargs,
+                "help": action.help,
+            }
+            for action in parser._actions
+        ]
+        for name, parser in sorted(cli._SUBPARSERS.items())
+    }
+
+
+def test_every_option_matches_the_recorded_table(monkeypatch):
+    # cli_options.json was recorded before the shared flags moved into
+    # helpers. A flag declared through argparse `parents=` shares one Action
+    # between commands, so one command's set_defaults would leak into the
+    # other's default and show up here.
+    monkeypatch.delenv("HEURLAB_SEED", raising=False)
+    recorded = json.loads((Path(__file__).parent / "cli_options.json").read_text())
+    assert json.loads(json.dumps(_option_table())) == recorded
 
 
 def test_argparse_failures_exit_2():
@@ -206,6 +237,44 @@ def test_pool_record_missing_a_field_names_it(pool_file, tmp_path, capsys):
     bad.write_text("".join(lines[:2]) + json.dumps(record) + "\n" + "".join(lines[3:]))
     assert run_cli(["train", "--pool", bad, "--out", tmp_path / "m.json"]) == 3
     assert f"error: {bad}: record 3 has no field 'state_key'" in capsys.readouterr().err
+
+
+def test_reference_record_missing_a_field_names_it(split_dir, tmp_path, capsys):
+    refs = tmp_path / "refs.jsonl"
+    argv = ["eval", "--instances", split_dir, "--out", tmp_path / "rep", "--heuristic", "quick",
+            "--references", refs]
+    assert run_cli(argv) == 0
+    records = read_jsonl(refs)
+    del records[1]["plan_length"]
+    util.write_jsonl(refs, records)
+    assert run_cli(argv) == 3
+    assert f"error: {refs}: record 2 has no field 'plan_length'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tile_split_dir(work):
+    tiles = [stp.make_instance([1, 0, 2, 3, 4, 5, 6, 7, 8], 3, id="stp-a"),
+             stp.make_instance([3, 1, 2, 0, 4, 5, 6, 7, 8], 3, id="stp-b")]
+    generation.write_split(tiles, work / "tiles")
+    return str(work / "tiles")
+
+
+def test_eval_rejects_a_model_of_another_domain_before_solving(tile_split_dir, model_file, tmp_path, capsys):
+    refs = tmp_path / "r.jsonl"
+    argv = ["eval", "--model", model_file, "--instances", tile_split_dir, "--references", refs,
+            "--out", tmp_path / "rep"]
+    assert run_cli(argv) == 3
+    assert "model was trained for maze, not stp" in capsys.readouterr().err
+    assert not refs.exists()
+    assert not (tmp_path / "rep").exists()
+
+
+def test_solve_rejects_a_model_of_another_domain(tile_split_dir, model_file, tmp_path, capsys):
+    out = tmp_path / "runs.jsonl"
+    argv = ["solve", "--heuristic", "learned", "--model", model_file, "--instances", tile_split_dir, "--out", out]
+    assert run_cli(argv) == 3
+    assert "model was trained for maze, not stp" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_section_split_needs_section(pool_file, tmp_path, capsys):

@@ -111,6 +111,80 @@ def test_bfs_distances_match_brute_force_on_random_grids():
                 assert got[r * width + c] == want.get((r, c), -1), (trial, r, c)
 
 
+def _parent_maze_render(instance, state=None):
+    # The per-cell renderer that maze.render_ascii replaced, kept as the oracle.
+    player = (state or instance.start_state).player
+    goal = instance.goal_spec
+    rows = []
+    for r, row in enumerate(instance.board.walls):
+        chars = []
+        for c, is_wall in enumerate(row):
+            if (r, c) == player:
+                chars.append("@")
+            elif (r, c) == goal:
+                chars.append("X")
+            elif is_wall:
+                chars.append("#")
+            else:
+                chars.append(".")
+        rows.append("".join(chars))
+    return "\n".join(rows)
+
+
+def _parent_sokoban_render(instance, state=None):
+    # The per-cell renderer that sokoban.render_ascii replaced.
+    state = state or instance.start_state
+    docks = frozenset(instance.board.docks)
+    boxes = frozenset(state.boxes)
+    rows = []
+    for r, row in enumerate(instance.board.walls):
+        chars = []
+        for c, is_wall in enumerate(row):
+            cell = (r, c)
+            if cell == state.player:
+                chars.append("O" if cell in docks else "@")
+            elif cell in boxes:
+                chars.append("X" if cell in docks else "$")
+            elif is_wall:
+                chars.append("#")
+            elif cell in docks:
+                chars.append(".")
+            else:
+                chars.append(" ")
+        rows.append("".join(chars))
+    return "\n".join(rows)
+
+
+def test_grid_renderers_match_the_per_cell_renderers():
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(400):
+        height, width = rng.randint(3, 10), rng.randint(3, 10)
+        walls = _random_grid(rng, height, width, border=True)
+        open_cells = [(r, c) for r in range(height) for c in range(width) if not walls[r][c]]
+        if len(open_cells) < 2:
+            continue
+        player = rng.choice(open_cells)
+        goal = player if trial % 5 == 0 else rng.choice(open_cells)
+        inst = PuzzleInstance(Domain.MAZE, MazeBoard(walls), MazeState(player), goal)
+        assert maze.render_ascii(inst) == _parent_maze_render(inst)
+        seen.add("player on goal" if player == goal else "maze")
+
+        # Boxes on and off docks; the player stands on a free dock every third trial.
+        n = rng.randint(1, len(open_cells) // 2)
+        docks = tuple(sorted(rng.sample(open_cells, n)))
+        off_dock = rng.randint(0, n)
+        boxes = rng.sample(docks, n - off_dock) + rng.sample([c for c in open_cells if c not in docks], off_dock)
+        free = [c for c in open_cells if c not in boxes]
+        free_docks = [c for c in free if c in docks]
+        player = rng.choice(free_docks) if trial % 3 == 0 and free_docks else rng.choice(free)
+        inst = PuzzleInstance(Domain.SOKOBAN, SokobanBoard(walls, docks), SokobanState.make(player, boxes), docks)
+        text = sokoban.render_ascii(inst)
+        assert text == _parent_sokoban_render(inst)
+        seen.update(glyph for glyph in "O$X" if glyph in text)
+    assert seen >= {"player on goal", "maze", "O", "$", "X"}
+
+
 def test_bfs_distances_do_not_wrap_between_rows():
     # Row ends are open but the cells one flat index apart on the next row
     # are only reachable the long way round.

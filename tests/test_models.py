@@ -14,8 +14,8 @@ from heurlab.models import (
     LearnedHeuristic,
     ModelKind,
     ResidualModel,
-    learned_heuristic,
     load_model,
+    mismatch_reason,
     predict_batch,
     save_model,
     train_residual_model,
@@ -210,7 +210,7 @@ def _small_model():
 def test_learned_heuristic_adds_floored_residual(maze_pool_150, maze_train_150):
     model = train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
     inst = maze_train_150[0]
-    evaluator = learned_heuristic(model, domain="maze")
+    evaluator = LearnedHeuristic(model)
     state = inst.start_state
     (value,) = evaluator.evaluate_batch([state], inst, [0])
     quick = float(domains.quick_heuristic(state, inst))
@@ -359,18 +359,27 @@ def test_learned_batch_matches_per_state_formula(sampled_states, floor, rounding
     assert not any(below) if floor else any(below)
 
 
-def test_learned_heuristic_domain_guard():
-    model = _small_model()
-    assert model.domain is Domain.MAZE
-    with pytest.raises(ValueError, match="trained for maze"):
-        learned_heuristic(model, domain="stp")
-    assert learned_heuristic(model, domain="maze") is not None
+def test_mismatch_reason_checks_domain_then_feature_width(maze_train_150):
+    def zero_model(domain, inst):
+        width = len(domains.feature_vector(inst.start_state, inst))
+        return ResidualModel(kind=ModelKind.LINEAR, domain=domain, mu=np.zeros(width), sigma=np.ones(width),
+                             weights=np.zeros(width))
+
+    maze_model = zero_model(Domain.MAZE, maze_train_150[0])
+    assert mismatch_reason(maze_model, maze_train_150[:5]) is None
+    assert mismatch_reason(maze_model, []) is None
+    tiles = [stp.make_instance([1, 0, 2, 3, 4, 5, 6, 7, 8], 3, id="t3")]
+    assert mismatch_reason(maze_model, maze_train_150[:2] + tiles) == "model was trained for maze, not stp"
+    stp_model = zero_model(Domain.STP, tiles[0])
+    assert mismatch_reason(stp_model, tiles) is None
+    wider = stp.make_instance(list(range(16)), 4, id="t4")
+    assert mismatch_reason(stp_model, tiles + [wider]) == "feature dimensionality differs from training"
 
 
 def test_learned_search_solves_mazes(maze_pool_150, maze_train_150):
     model = train_residual_model(maze_pool_150[:1200], kind="knn", k=8, seed=0)
     for inst in maze_train_150[:5]:
-        result = astar(inst, learned_heuristic(model, domain="maze"))
+        result = astar(inst, LearnedHeuristic(model))
         assert result.solved
         # Learned guidance may lose optimality but never validity.
         assert result.path_length >= inst.provenance["plan_length"]
