@@ -22,7 +22,7 @@ from pathlib import Path
 from . import evaluation, generation, models, oracle, pipeline
 from .domains import Domain
 from .search import SearchLimits, TieBreak, ZeroHeuristic
-from .util import atomic_write, content_hash, derive_seed, read_jsonl, write_jsonl
+from .util import atomic_write, content_hash, convert_records, derive_seed, read_jsonl, write_jsonl
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -290,15 +290,8 @@ def _evaluator_factory(args, instances):
 
 
 def _read_references(path) -> dict:
-    """A reference file; a record without a field fails naming the file,
-    the record and the field, as ``pipeline.read_pool`` does."""
-    references = {}
-    for number, rec in enumerate(read_jsonl(path), 1):
-        try:
-            references.update(evaluation.references_from_records([rec]))
-        except KeyError as exc:
-            raise ValueError(f"{path}: record {number} has no field {exc}") from None
-    return references
+    per_record = convert_records(path, read_jsonl(path), lambda rec: evaluation.references_from_records([rec]))
+    return {key: ref for refs in per_record for key, ref in refs.items()}
 
 
 def _quick_pool(instances, limits, jobs):
@@ -503,90 +496,85 @@ def cmd_pipeline(args) -> int:
             fh.write(json.dumps({"config": cfg, "config_hash": content_hash(cfg)}, indent=2) + "\n")
     limits = _limits(args)
 
-    def stage(label, outputs, build):
-        paths = [workdir / rel for rel in outputs]
-        if all(p.exists() for p in paths):
+    def stage(label, output, build, *build_args):
+        """``workdir/output``, built first by ``build(path, *build_args)``
+        unless it exists."""
+        path = workdir / output
+        if path.exists():
             print(f"[{label}] up to date")
-            return
-        print(f"[{label}] running")
-        build()
+        else:
+            print(f"[{label}] running")
+            build(path, *build_args)
+        return path
 
     # 1. instances
+    def build_split(path, split):
+        built = _build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, args.boxoban)
+        generation.write_split(built, path.parent, force=True)
+
     splits = ("train", "test_iid", "test_ood")
-    for split in splits:
-        stage(
-            f"instances/{split}",
-            [f"instances/{split}/manifest.jsonl"],
-            lambda split=split: generation.write_split(
-                _build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, args.boxoban),
-                workdir / "instances" / split,
-                force=True,
-            ),
-        )
-    instances = {split: generation.read_split(workdir / "instances" / split) for split in splits}
+    manifests = {split: stage(f"instances/{split}", f"instances/{split}/manifest.jsonl", build_split, split)
+                 for split in splits}
+    instances = {split: generation.read_split(path.parent) for split, path in manifests.items()}
 
     # 2. references for the evaluation splits
-    def build_references(split):
+    def build_references(path, split):
         refs, failed = evaluation.compute_references(instances[split], limits=limits, jobs=args.jobs)
         if failed:
-            write_jsonl(workdir / "references" / f"{split}_unsolved.jsonl", [{"instance_id": i} for i in failed])
+            write_jsonl(path.with_name(f"{split}_unsolved.jsonl"), [{"instance_id": i} for i in failed])
             print(f"  {split}: {len(failed)} instances had no reference solve; excluded", file=sys.stderr)
-        write_jsonl(workdir / "references" / f"{split}.jsonl", evaluation.reference_records(refs))
+        write_jsonl(path, evaluation.reference_records(refs))
 
     eval_splits = ("test_iid", "test_ood")
-    for split in eval_splits:
-        stage(f"references/{split}", [f"references/{split}.jsonl"], lambda split=split: build_references(split))
-    references = {split: _read_references(workdir / "references" / f"{split}.jsonl") for split in eval_splits}
+    reference_files = {split: stage(f"references/{split}", f"references/{split}.jsonl", build_references, split)
+                       for split in eval_splits}
+    references = {split: _read_references(path) for split, path in reference_files.items()}
 
     # 3. training pool from quick solves of the train split
-    def build_pool():
+    def build_pool(path):
         pool, skipped = _quick_pool(instances["train"], limits, args.jobs)
         if skipped:
             print(f"  pool: {skipped} unsolved train instances skipped", file=sys.stderr)
-        pipeline.write_pool(pool, workdir / "pool.jsonl")
+        pipeline.write_pool(pool, path)
 
-    stage("pool", ["pool.jsonl"], build_pool)
-    pool = pipeline.read_pool(workdir / "pool.jsonl")
+    pool = pipeline.read_pool(stage("pool", "pool.jsonl", build_pool))
     budget = generation.scaled_count(cfg["budget"], cfg["scale"])
 
     # 4. per-strategy selections
-    def build_selection(row):
+    def build_selection(path, row):
         selection = pool
         if PIPELINE_ROWS[row]:
             strategy, tau_key = PIPELINE_ROWS[row]
             tau = {"tau": cfg[tau_key]} if tau_key else {}
             seed = derive_seed(cfg["seed"], "sample", row)
             selection = pipeline.run_strategy(pool, pipeline.SamplingSpec(strategy, total_budget=budget, seed=seed, **tau))
-        pipeline.write_pool(selection, workdir / "selections" / f"{row}.jsonl")
+        pipeline.write_pool(selection, path)
 
-    for row in cfg["strategies"]:
-        stage(f"selections/{row}", [f"selections/{row}.jsonl"], lambda row=row: build_selection(row))
+    strategies = cfg["strategies"]
+    selections = {row: stage(f"selections/{row}", f"selections/{row}.jsonl", build_selection, row)
+                  for row in strategies}
 
     # 5. per-strategy models
-    def build_model(row):
-        selection = pipeline.read_pool(workdir / "selections" / f"{row}.jsonl")
+    def build_model(path, row):
         model = models.train_residual_model(
-            selection,
+            pipeline.read_pool(selections[row]),
             kind=cfg["model_kind"],
             k=cfg["k"],
             seed=derive_seed(cfg["seed"], "train", row),
             manifest={"strategy": row, "budget": None if row == "full_data" else budget},
         )
-        models.save_model(model, workdir / "models" / f"{row}.json")
+        models.save_model(model, path)
 
-    for row in cfg["strategies"]:
-        stage(f"models/{row}", [f"models/{row}.json"], lambda row=row: build_model(row))
+    model_files = {row: stage(f"models/{row}", f"models/{row}.json", build_model, row) for row in strategies}
 
     # 6. evaluation per strategy and split
-    def build_eval(row, split):
-        model = models.load_model(workdir / "models" / f"{row}.json")
-        out_dir = workdir / "eval"
+    def build_eval(path, row, split):
+        model = models.load_model(model_files[row])
         name = f"{row}_{split}"
         reason = models.mismatch_reason(model, instances[split])
         if reason:
             # e.g. sliding-tile test_ood boards are wider than the training boards
-            evaluation.write_rows_csv([{"strategy": row, "split": split, "skipped": reason}],
-                                      out_dir / f"{name}_summary.csv")
+            evaluation.write_rows_csv([{"strategy": row, "split": split, "skipped": reason}], path)
             print(f"  {name}: skipped ({reason})", file=sys.stderr)
             return
         outcome = evaluation.run_experiment(
@@ -599,28 +587,26 @@ def cmd_pipeline(args) -> int:
             config={"strategy": row, "split": split, **cfg},
         )
         _, report = outcome.per_seed[0]
-        evaluation.write_report(report, out_dir, name, manifest=outcome.manifest)
+        evaluation.write_report(report, path.parent, name, manifest=outcome.manifest)
 
-    for row in cfg["strategies"]:
-        for split in eval_splits:
-            stage(f"eval/{row}_{split}", [f"eval/{row}_{split}_summary.csv"],
-                  lambda row=row, split=split: build_eval(row, split))
+    summaries = {(row, split): stage(f"eval/{row}_{split}", f"eval/{row}_{split}_summary.csv", build_eval, row, split)
+                 for row in strategies for split in eval_splits}
 
     # 7. comparison table (non-timing metrics only, so reruns diff clean)
-    def build_comparison():
+    def build_comparison(path):
         rows = []
-        for row in cfg["strategies"]:
+        for row in strategies:
             entry = {"strategy": row}
             for split, tag in (("test_iid", "iid"), ("test_ood", "ood")):
-                summary = evaluation.read_rows_csv(workdir / "eval" / f"{row}_{split}_summary.csv")[0]
+                summary = evaluation.read_rows_csv(summaries[row, split])[0]
                 for col in evaluation.HEADLINE_METRICS:
                     entry[f"{tag}_{col}"] = "" if "skipped" in summary else summary[col]
             rows.append(entry)
-        evaluation.write_rows_csv(rows, workdir / "comparison.csv")
+        evaluation.write_rows_csv(rows, path)
 
-    stage("comparison", ["comparison.csv"], build_comparison)
+    comparison = stage("comparison", "comparison.csv", build_comparison)
     print(f"\ncomparison ({domain.value}, scale {cfg['scale']}, budget {budget}):")
-    rows = evaluation.read_rows_csv(workdir / "comparison.csv")
+    rows = evaluation.read_rows_csv(comparison)
     cols = list(rows[0].keys()) if rows else []
     print("  " + "  ".join(f"{c:>16s}" for c in cols))
     for row in rows:

@@ -117,6 +117,34 @@ def freeze_grid(rows: list[list[bool]]) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def parse_grid(text: str, glyphs: str) -> tuple[tuple[tuple[bool, ...], ...], dict[str, list[Cell]]]:
+    """Frozen walls ('#') of a rectangular board of ``glyphs``, and the cells
+    of each glyph in row-major order. A ragged row or a glyph outside
+    ``glyphs`` raises ``ParseError`` at the first one met."""
+    lines = text.rstrip("\n").split("\n")
+    width = len(lines[0])
+    cells: dict[str, list[Cell]] = {glyph: [] for glyph in glyphs}
+    for r, line in enumerate(lines):
+        if len(line) != width:
+            raise ParseError(f"ragged row: expected width {width}, got {len(line)}", line=r + 1)
+        for c, ch in enumerate(line):
+            if ch not in cells:
+                raise ParseError(f"unknown glyph {ch!r}", line=r + 1, column=c + 1)
+            cells[ch].append((r, c))
+    return tuple(tuple(ch == "#" for ch in line) for line in lines), cells
+
+
+def single_cell(cells: list[Cell], name: str) -> Cell:
+    """The one cell of a marker; a missing marker, or a second one (located at
+    its second cell), raises ``ParseError``."""
+    if not cells:
+        raise ParseError(f"missing {name}")
+    if len(cells) > 1:
+        r, c = cells[1]
+        raise ParseError(f"duplicate {name}", line=r + 1, column=c + 1)
+    return cells[0]
+
+
 def render_grid(walls, floor: str, overlay: dict[Cell, str]) -> str:
     """Rows of ``walls`` as '#' or ``floor``, then ``overlay`` written over its
     cells in insertion order, so a later entry for a cell wins."""

@@ -10,15 +10,16 @@ from .base import (
     MazeState,
     ParseError,
     PuzzleInstance,
-    freeze_grid,
     manhattan,
     occupancy_window,
+    parse_grid,
     render_grid,
+    single_cell,
 )
 
 LEGEND = "@ - player, # - wall, . - empty cell, X - goal"
 
-GLYPHS = frozenset("#.@X")
+GLYPHS = "#.@X"
 
 
 def successors(state: MazeState, instance: PuzzleInstance):
@@ -85,47 +86,22 @@ def render_ascii(instance: PuzzleInstance, state: MazeState | None = None) -> st
 
 
 def parse_ascii(text: str) -> PuzzleInstance:
-    lines = [line for line in text.rstrip("\n").split("\n")]
-    if not lines:
-        raise ParseError("empty maze text")
-    width = len(lines[0])
-    player = None
-    goal = None
-    rows: list[list[bool]] = []
-    for r, line in enumerate(lines):
-        if len(line) != width:
-            raise ParseError(f"ragged row: expected width {width}, got {len(line)}", line=r + 1)
-        row = []
-        for c, ch in enumerate(line):
-            if ch not in GLYPHS:
-                raise ParseError(f"unknown glyph {ch!r}", line=r + 1, column=c + 1)
-            if ch == "@":
-                if player is not None:
-                    raise ParseError("duplicate player", line=r + 1, column=c + 1)
-                player = (r, c)
-            elif ch == "X":
-                if goal is not None:
-                    raise ParseError("duplicate goal", line=r + 1, column=c + 1)
-                goal = (r, c)
-            row.append(ch == "#")
-        rows.append(row)
-    if player is None:
-        raise ParseError("missing player")
-    if goal is None:
-        raise ParseError("missing goal")
+    walls, cells = parse_grid(text, GLYPHS)
+    player = single_cell(cells["@"], "player")
+    goal = single_cell(cells["X"], "goal")
     # Boards always carry a closed border ring; catch corrupt files early.
-    h = len(rows)
+    h, width = len(walls), len(walls[0])
     for r in range(h):
         for c in (0, width - 1):
-            if not rows[r][c]:
+            if not walls[r][c]:
                 raise ParseError("border is not walled", line=r + 1, column=c + 1)
     for c in range(width):
         for r in (0, h - 1):
-            if not rows[r][c]:
+            if not walls[r][c]:
                 raise ParseError("border is not walled", line=r + 1, column=c + 1)
     return PuzzleInstance(
         domain=Domain.MAZE,
-        board=MazeBoard(freeze_grid(rows)),
+        board=MazeBoard(walls),
         start_state=MazeState(player),
         goal_spec=goal,
     )

@@ -11,16 +11,17 @@ from .base import (
     PuzzleInstance,
     SokobanBoard,
     SokobanState,
-    freeze_grid,
     manhattan,
     occupancy_window,
+    parse_grid,
     render_grid,
+    single_cell,
 )
 from .hungarian import hungarian_min_cost
 
 LEGEND = "@ - player, # - wall, . - empty docks, ' ' - empty cell, $ - box, X - box on dock, O - player on dock"
 
-GLYPHS = frozenset("#@$.XO ")
+GLYPHS = "#@$.XO "
 
 # Box configurations whose assignment cost is remembered. A search revisits a
 # configuration on every move that pushes no box, so most assignment solves
@@ -89,37 +90,13 @@ def render_ascii(instance: PuzzleInstance, state: SokobanState | None = None) ->
 
 
 def parse_ascii(text: str) -> PuzzleInstance:
-    lines = text.rstrip("\n").split("\n")
-    if not lines:
-        raise ParseError("empty sokoban text")
-    width = len(lines[0])
-    rows: list[list[bool]] = []
-    docks = []
-    boxes = []
-    player = None
-    for r, line in enumerate(lines):
-        if len(line) != width:
-            raise ParseError(f"ragged row: expected width {width}, got {len(line)}", line=r + 1)
-        row = []
-        for c, ch in enumerate(line):
-            if ch not in GLYPHS:
-                raise ParseError(f"unknown glyph {ch!r}", line=r + 1, column=c + 1)
-            cell = (r, c)
-            if ch in "@O":
-                if player is not None:
-                    raise ParseError("duplicate player", line=r + 1, column=c + 1)
-                player = cell
-            if ch in "$X":
-                boxes.append(cell)
-            if ch in ".XO":
-                docks.append(cell)
-            row.append(ch == "#")
-        rows.append(row)
-    if player is None:
-        raise ParseError("missing player")
+    walls, cells = parse_grid(text, GLYPHS)
+    player = single_cell(sorted(cells["@"] + cells["O"]), "player")
+    boxes = cells["$"] + cells["X"]
+    docks = cells["."] + cells["X"] + cells["O"]
     if len(boxes) != len(docks):
         raise ParseError(f"box/dock count mismatch: {len(boxes)} boxes, {len(docks)} docks")
-    board = SokobanBoard(freeze_grid(rows), tuple(sorted(docks)))
+    board = SokobanBoard(walls, tuple(sorted(docks)))
     return PuzzleInstance(
         domain=Domain.SOKOBAN,
         board=board,

@@ -8,15 +8,10 @@ prompts.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .base import DIRECTIONS, Domain, ParseError, PuzzleInstance, StpBoard, StpState
 
 LEGEND = "0 - empty space"
-
-
-def goal_state(width: int) -> StpState:
-    return StpState(tuple(range(width * width)), width)
 
 
 def make_instance(tiles, width: int, id: str = "", seed: int | None = None, provenance=None) -> PuzzleInstance:
@@ -51,24 +46,16 @@ def is_goal(state: StpState, instance: PuzzleInstance) -> bool:
     return state.tiles == instance.goal_spec
 
 
-@lru_cache(maxsize=512)
-def _goal_positions(goal: tuple[int, ...], width: int) -> tuple[tuple[int, int], ...]:
-    pos = [(0, 0)] * len(goal)
-    for idx, tile in enumerate(goal):
-        pos[tile] = divmod(idx, width)
-    return tuple(pos)
-
-
 def quick_heuristic(state: StpState, instance: PuzzleInstance) -> int:
-    """Sum of tile Manhattan displacements, blank excluded."""
+    """Sum of tile Manhattan displacements, blank excluded. Under the
+    canonical goal, tile t belongs at cell divmod(t, w)."""
     w = state.width
-    pos = _goal_positions(instance.goal_spec, w)
     total = 0
     for idx, tile in enumerate(state.tiles):
         if tile == 0:
             continue
         r, c = divmod(idx, w)
-        gr, gc = pos[tile]
+        gr, gc = divmod(tile, w)
         total += abs(r - gr) + abs(c - gc)
     return total
 
@@ -98,7 +85,6 @@ def parse_ascii(text: str) -> PuzzleInstance:
 def feature_vector(state: StpState, instance: PuzzleInstance) -> list[float]:
     w = state.width
     n = w * w
-    pos = _goal_positions(instance.goal_spec, w)
     z = state.tiles.index(0)
     zr, zc = divmod(z, w)
     # Histogram over per-tile Manhattan displacement (0..2(w-1), blank excluded).
@@ -107,7 +93,7 @@ def feature_vector(state: StpState, instance: PuzzleInstance) -> list[float]:
         if tile == 0:
             continue
         r, c = divmod(idx, w)
-        gr, gc = pos[tile]
+        gr, gc = divmod(tile, w)
         hist[abs(r - gr) + abs(c - gc)] += 1.0
     # Column 0 is quick_heuristic: the displacements summed from their histogram.
     feats = [sum(d * count for d, count in enumerate(hist)), zr / (w - 1), zc / (w - 1)]

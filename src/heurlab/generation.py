@@ -20,7 +20,7 @@ from . import domains
 from .domains import Domain, ParseError, PuzzleInstance
 from .domains.base import DIRECTIONS, MazeBoard, MazeState, OPPOSITE_ACTION, SokobanBoard, SokobanState, freeze_grid
 from .search import QuickHeuristic, SearchLimits, SearchResult, astar
-from .util import derive_seed, map_tasks, read_jsonl, write_jsonl
+from .util import convert_records, derive_seed, map_tasks, read_jsonl, write_jsonl
 
 GENERATION_CAP = 1000  # fresh boards per requested instance before giving up
 BREAK_PROB = 0.2  # chance that each region-boundary wall of a maze is opened
@@ -180,7 +180,8 @@ def generate_maze(width: int, height: int, filt: GenFilter, seed: int, id: str =
 # Sokoban
 
 def load_boxoban(path: str | Path) -> list[PuzzleInstance]:
-    """Parse a boxoban-layout file: ``; <index>`` header lines, then 10 board rows."""
+    """Parse a boxoban-layout file: ``; <index>`` header lines, then 10 board
+    rows. Every ``ParseError`` starts with the file's path."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     puzzles = []
     i = 0
@@ -190,20 +191,20 @@ def load_boxoban(path: str | Path) -> list[PuzzleInstance]:
             i += 1
             continue
         if not line.startswith(";"):
-            raise ParseError(f"expected '; <index>' header, got {line!r}", line=i + 1)
+            raise ParseError(f"{path}: expected '; <index>' header, got {line!r}", line=i + 1)
         try:
             index = int(line[1:].strip())
         except ValueError:
-            raise ParseError(f"bad puzzle index {line!r}", line=i + 1) from None
+            raise ParseError(f"{path}: bad puzzle index {line!r}", line=i + 1) from None
         rows = lines[i + 1 : i + 11]
         if len(rows) < 10:
-            raise ParseError(f"puzzle {index} has {len(rows)} rows, expected 10", line=i + 1)
+            raise ParseError(f"{path}: puzzle {index} has {len(rows)} rows, expected 10", line=i + 1)
         # Corpus files may write box-on-dock as '*' and player-on-dock as '+'.
         text = "\n".join(rows).translate({ord("*"): "X", ord("+"): "O"})
         try:
             instance = domains.sokoban.parse_ascii(text)
         except ParseError as exc:
-            raise ParseError(f"puzzle {index}: {exc}", line=i + 2) from None
+            raise ParseError(f"{path}: puzzle {index}: {exc}", line=i + 2) from None
         puzzles.append(
             dataclasses.replace(
                 instance,
@@ -465,11 +466,16 @@ def write_split(instances: Iterable[PuzzleInstance], out_dir: str | Path, force:
 
 
 def read_split(in_dir: str | Path) -> list[PuzzleInstance]:
-    in_dir = Path(in_dir)
-    rows = read_jsonl(in_dir / "manifest.jsonl")
+    """The instances of a split folder in id order. A manifest record lacking
+    a field, or a board that does not parse, fails naming its file."""
+    manifest = Path(in_dir) / "manifest.jsonl"
+    entries = convert_records(manifest, read_jsonl(manifest), lambda row: (row["id"], row["seed"], row["domain"], row))
     out = []
-    for row in sorted(rows, key=lambda r: r["id"]):
-        text = (in_dir / f"{row['id']}.txt").read_text(encoding="utf-8")
-        inst = domains.parse_ascii(text, row["domain"])
-        out.append(dataclasses.replace(inst, id=row["id"], seed=row["seed"], provenance=dict(row)))
+    for inst_id, seed, domain, row in sorted(entries, key=lambda entry: entry[0]):
+        board = manifest.with_name(f"{inst_id}.txt")
+        try:
+            inst = domains.parse_ascii(board.read_text(encoding="utf-8"), domain)
+        except ParseError as exc:
+            raise ParseError(f"{board}: {exc}") from None
+        out.append(dataclasses.replace(inst, id=inst_id, seed=seed, provenance=dict(row)))
     return out

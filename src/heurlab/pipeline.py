@@ -24,7 +24,7 @@ from . import domains
 from .domains import Domain, PuzzleInstance
 from .oracle import SectionLabel, section_of
 from .search import SearchResult
-from .util import derive_seed, read_jsonl, write_jsonl
+from .util import convert_records, derive_seed, read_jsonl, write_jsonl
 from .generation import stp_symbol_table
 
 
@@ -575,13 +575,7 @@ def write_pool(pool: Sequence[TrainingExample], path: str | Path) -> None:
 
 
 def read_pool(path: str | Path) -> list[TrainingExample]:
-    pool = []
-    for number, rec in enumerate(read_jsonl(path), 1):
-        try:
-            pool.append(record_to_example(rec))
-        except KeyError as exc:
-            raise ValueError(f"{path}: record {number} has no field {exc}") from None
-    return pool
+    return convert_records(path, read_jsonl(path), record_to_example)
 
 
 PROMPT_TEMPLATE = """import torch

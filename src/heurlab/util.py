@@ -78,6 +78,19 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
+def convert_records(path: str | Path, records: Iterable[dict], convert: Callable) -> list:
+    """``[convert(rec) for rec in records]`` for records read from ``path``;
+    a record lacking a field raises
+    ``ValueError("<path>: record <n> has no field '<name>'")``."""
+    out = []
+    for number, rec in enumerate(records, 1):
+        try:
+            out.append(convert(rec))
+        except KeyError as exc:
+            raise ValueError(f"{path}: record {number} has no field {exc}") from None
+    return out
+
+
 def content_hash(obj: object) -> str:
     """SHA-256 of a canonical JSON rendering; used in run manifests."""
     blob = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")

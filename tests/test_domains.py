@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from conftest import maze_bfs_distance, sokoban_bfs_optimal
+from conftest import _reverse_pull_board, maze_bfs_distance, sokoban_bfs_optimal
 
-from heurlab import domains
+from heurlab import domains, generation
 from heurlab.domains import (
     Domain,
     MazeBoard,
@@ -20,6 +20,7 @@ from heurlab.domains import (
     hungarian_min_cost,
 )
 from heurlab.domains import maze, sokoban, stp
+from heurlab.domains.base import freeze_grid
 
 MAZE_TEXT = "\n".join(
     [
@@ -183,6 +184,174 @@ def test_grid_renderers_match_the_per_cell_renderers():
         assert text == _parent_sokoban_render(inst)
         seen.update(glyph for glyph in "O$X" if glyph in text)
     assert seen >= {"player on goal", "maze", "O", "$", "X"}
+
+
+def _parent_maze_parse(text):
+    # The per-domain scan that maze.parse_ascii replaced, kept as the oracle.
+    lines = [line for line in text.rstrip("\n").split("\n")]
+    if not lines:
+        raise ParseError("empty maze text")
+    width = len(lines[0])
+    player = None
+    goal = None
+    rows = []
+    for r, line in enumerate(lines):
+        if len(line) != width:
+            raise ParseError(f"ragged row: expected width {width}, got {len(line)}", line=r + 1)
+        row = []
+        for c, ch in enumerate(line):
+            if ch not in frozenset("#.@X"):
+                raise ParseError(f"unknown glyph {ch!r}", line=r + 1, column=c + 1)
+            if ch == "@":
+                if player is not None:
+                    raise ParseError("duplicate player", line=r + 1, column=c + 1)
+                player = (r, c)
+            elif ch == "X":
+                if goal is not None:
+                    raise ParseError("duplicate goal", line=r + 1, column=c + 1)
+                goal = (r, c)
+            row.append(ch == "#")
+        rows.append(row)
+    if player is None:
+        raise ParseError("missing player")
+    if goal is None:
+        raise ParseError("missing goal")
+    h = len(rows)
+    for r in range(h):
+        for c in (0, width - 1):
+            if not rows[r][c]:
+                raise ParseError("border is not walled", line=r + 1, column=c + 1)
+    for c in range(width):
+        for r in (0, h - 1):
+            if not rows[r][c]:
+                raise ParseError("border is not walled", line=r + 1, column=c + 1)
+    return PuzzleInstance(Domain.MAZE, MazeBoard(freeze_grid(rows)), MazeState(player), goal)
+
+
+def _parent_sokoban_parse(text):
+    # The per-domain scan that sokoban.parse_ascii replaced.
+    lines = text.rstrip("\n").split("\n")
+    if not lines:
+        raise ParseError("empty sokoban text")
+    width = len(lines[0])
+    rows = []
+    docks = []
+    boxes = []
+    player = None
+    for r, line in enumerate(lines):
+        if len(line) != width:
+            raise ParseError(f"ragged row: expected width {width}, got {len(line)}", line=r + 1)
+        row = []
+        for c, ch in enumerate(line):
+            if ch not in frozenset("#@$.XO "):
+                raise ParseError(f"unknown glyph {ch!r}", line=r + 1, column=c + 1)
+            cell = (r, c)
+            if ch in "@O":
+                if player is not None:
+                    raise ParseError("duplicate player", line=r + 1, column=c + 1)
+                player = cell
+            if ch in "$X":
+                boxes.append(cell)
+            if ch in ".XO":
+                docks.append(cell)
+            row.append(ch == "#")
+        rows.append(row)
+    if player is None:
+        raise ParseError("missing player")
+    if len(boxes) != len(docks):
+        raise ParseError(f"box/dock count mismatch: {len(boxes)} boxes, {len(docks)} docks")
+    board = SokobanBoard(freeze_grid(rows), tuple(sorted(docks)))
+    return PuzzleInstance(Domain.SOKOBAN, board, SokobanState.make(player, boxes), board.docks)
+
+
+def _single_faults(rng, text, faults):
+    """``(fault, board)`` per entry of ``faults``: the board with one cell
+    rewritten from one of ``old`` glyphs to ``new``, or a row cut short.
+    A fault whose glyph the board lacks is left out."""
+    grid = [list(line) for line in text.split("\n")]
+    height, width = len(grid), len(grid[0])
+    interior = [(r, c) for r in range(1, height - 1) for c in range(1, width - 1)]
+    border = [(r, c) for r in range(height) for c in range(width) if (r, c) not in set(interior)]
+    out = []
+    for fault, old, new in faults:
+        if fault == "ragged row":
+            rows = list(text.split("\n"))
+            r = rng.randrange(1, height)
+            rows[r] = rows[r][:-1]
+            out.append((fault, "\n".join(rows)))
+            continue
+        cells = border if fault == "open border" else interior
+        cells = [(r, c) for r, c in cells if grid[r][c] in old]
+        if not cells:
+            continue
+        r, c = rng.choice(cells)
+        mutated = [row[:] for row in grid]
+        mutated[r][c] = new
+        out.append((fault, "\n".join("".join(row) for row in mutated)))
+    return out
+
+
+MAZE_FAULTS = (
+    ("ragged row", "", ""),
+    ("unknown glyph", ".", "?"),
+    ("second player", ".", "@"),
+    ("second goal", ".", "X"),
+    ("missing player", "@", "."),
+    ("missing goal", "X", "."),
+    ("open border", "#", "."),
+)
+
+SOKOBAN_FAULTS = (
+    ("ragged row", "", ""),
+    ("unknown glyph", " ", "z"),
+    ("second player", " ", "@"),
+    ("second player on a dock", ".", "O"),
+    ("missing player", "@", " "),
+    ("missing player on a dock", "O", "."),
+    ("box/dock mismatch", "$", " "),
+    ("box/dock mismatch", " ", "$"),
+    ("open border", "#", " "),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def test_grid_parsers_match_the_per_domain_parsers():
+    rng = random.Random(29)
+    boards = []
+    for seed in range(30):
+        size = 7 + 2 * (seed % 4)
+        inst = generation.generate_maze(size, size, generation.GenFilter(), seed=seed)
+        boards.append((maze.parse_ascii, _parent_maze_parse, maze.render_ascii(inst), MAZE_FAULTS))
+    while len(boards) < 60:
+        text = _reverse_pull_board(rng, n_boxes=rng.randint(1, 4), pulls=rng.randint(5, 30))
+        if text is None:
+            continue
+        boards.append((sokoban.parse_ascii, _parent_sokoban_parse, text, SOKOBAN_FAULTS))
+        if "." in text:  # the same level with the player standing on a free dock
+            on_dock = text.replace("@", " ").replace(".", "O", 1)
+            boards.append((sokoban.parse_ascii, _parent_sokoban_parse, on_dock, SOKOBAN_FAULTS))
+    seen = set()
+    for parse, parent_parse, text, faults in boards:
+        want = parent_parse(text)
+        assert parse(text) == want
+        assert parse(text + "\n") == want
+        for fault, board in _single_faults(rng, text, faults):
+            want = _parse_outcome(parent_parse, board)
+            assert _parse_outcome(parse, board) == want, (fault, board)
+            seen.add((fault, "instance" if isinstance(want, PuzzleInstance) else want[1].split(" (")[0]))
+    assert {fault for fault, _ in seen} == {fault for fault, _, _ in MAZE_FAULTS + SOKOBAN_FAULTS}
+    # A maze must be walled all round; a Sokoban level need not be.
+    assert {("open border", "border is not walled"), ("open border", "instance")} <= seen
+    assert {message for _, message in seen} >= {
+        "ragged row: expected width 7, got 6", "unknown glyph '?'", "unknown glyph 'z'", "duplicate player",
+        "duplicate goal", "missing player", "missing goal", "box/dock count mismatch: 1 boxes, 2 docks",
+    }
 
 
 def test_bfs_distances_do_not_wrap_between_rows():

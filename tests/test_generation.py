@@ -258,6 +258,7 @@ def test_load_boxoban_parses_and_translates_overlays(tmp_path):
         ("#####\n", "expected '; <index>'"),
         ("; x\n##########\n", "bad puzzle index"),
         ("; 0\n####\n####\n", "expected 10"),
+        ("; 4\n" + "#" * 10 + "\n#@$.z    #\n" + ("#" * 10 + "\n") * 8, "puzzle 4: unknown glyph 'z'"),
     ],
 )
 def test_load_boxoban_errors(tmp_path, text, fragment):
@@ -266,6 +267,7 @@ def test_load_boxoban_errors(tmp_path, text, fragment):
     with pytest.raises(ParseError) as err:
         load_boxoban(path)
     assert fragment in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_boxoban_fixture_boards_are_valid(tmp_path):
