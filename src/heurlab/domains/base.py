@@ -28,13 +28,14 @@ class Domain(str, Enum):
 
 
 class ParseError(ValueError):
-    """Malformed puzzle text; carries 1-based line/column when known."""
+    """Malformed puzzle text: a ``reason``, plus 1-based line/column when known."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, reason: str, line: int | None = None, column: int | None = None):
         loc = ""
         if line is not None:
             loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+        super().__init__(reason + loc)
+        self.reason = reason
         self.line = line
         self.column = column
 
@@ -154,11 +155,14 @@ def render_grid(walls, floor: str, overlay: dict[Cell, str]) -> str:
     return "\n".join("".join(row) for row in rows)
 
 
-def occupancy_window(predicate, center: Cell, radius: int = 2) -> list[float]:
-    """Flattened (2r+1)^2 window around ``center``; out-of-board counts as occupied."""
+WINDOW_RADIUS = 2
+
+
+def occupancy_window(predicate, center: Cell) -> list[float]:
+    """Flattened (2r+1)^2 window around ``center``, r = ``WINDOW_RADIUS``; out-of-board counts as occupied."""
     r0, c0 = center
     out = []
-    for dr in range(-radius, radius + 1):
-        for dc in range(-radius, radius + 1):
+    for dr in range(-WINDOW_RADIUS, WINDOW_RADIUS + 1):
+        for dc in range(-WINDOW_RADIUS, WINDOW_RADIUS + 1):
             out.append(1.0 if predicate(r0 + dr, c0 + dc) else 0.0)
     return out

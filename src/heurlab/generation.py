@@ -8,17 +8,15 @@ so split construction is reproducible and embarrassingly parallel.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 import string
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import domains
 from .domains import Domain, ParseError, PuzzleInstance
-from .domains.base import DIRECTIONS, MazeBoard, MazeState, OPPOSITE_ACTION, SokobanBoard, SokobanState, freeze_grid
+from .domains.base import MazeBoard, MazeState, OPPOSITE_ACTION, SokobanBoard, SokobanState, freeze_grid
 from .search import QuickHeuristic, SearchLimits, SearchResult, astar
 from .util import convert_records, derive_seed, map_tasks, read_jsonl, write_jsonl
 
@@ -64,16 +62,18 @@ class GenFilter:
         return True
 
 
-def _filter_provenance(filt: GenFilter, result: SearchResult) -> dict:
-    return {
-        "o_l": filt.o_l,
-        "alpha": filt.alpha,
-        "beta_min": filt.beta_min,
-        "beta_max": filt.beta_max,
-        "plan_length": result.path_length,
-        "closed_length": result.closed_length,
-        "wall_time": result.wall_time,
-    }
+def _passes_filter(instance: PuzzleInstance, filt: GenFilter) -> bool:
+    """The difficulty gate of every generator: a quick-heuristic A* under the
+    filter's cap, through this module's ``astar`` binding (which the tracer
+    wraps); an accepted instance records the filter and the solve."""
+    result = astar(instance, _QUICK, limits=filt.search_limits())
+    if not filt.accepts(result):
+        return False
+    instance.provenance.update(
+        o_l=filt.o_l, alpha=filt.alpha, beta_min=filt.beta_min, beta_max=filt.beta_max,
+        plan_length=result.path_length, closed_length=result.closed_length, wall_time=result.wall_time,
+    )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +168,7 @@ def generate_maze(width: int, height: int, filt: GenFilter, seed: int, id: str =
                 id=id,
                 seed=seed,
             )
-            result = astar(instance, _QUICK, limits=filt.search_limits())
-            if filt.accepts(result):
-                instance.provenance.update(_filter_provenance(filt, result))
+            if _passes_filter(instance, filt):
                 instance.provenance["broken_walls"] = broken
                 return instance
     raise GenerationExhausted(f"no maze met the filter within {GENERATION_CAP} boards (seed {seed})")
@@ -204,7 +202,9 @@ def load_boxoban(path: str | Path) -> list[PuzzleInstance]:
         try:
             instance = domains.sokoban.parse_ascii(text)
         except ParseError as exc:
-            raise ParseError(f"{path}: puzzle {index}: {exc}", line=i + 2) from None
+            # A fault the board parser could not place is put on the board's first row.
+            line = i + 1 + (exc.line or 1)
+            raise ParseError(f"{path}: puzzle {index}: {exc.reason}", line, exc.column) from None
         puzzles.append(
             dataclasses.replace(
                 instance,
@@ -237,11 +237,7 @@ def subsample_boxes(instance: PuzzleInstance, boxes: int, seed: int, filt: GenFi
             seed=seed,
             provenance=dict(instance.provenance),
         )
-        if filt is None:
-            return candidate
-        result = astar(candidate, _QUICK, limits=filt.search_limits())
-        if filt.accepts(result):
-            candidate.provenance.update(_filter_provenance(filt, result))
+        if filt is None or _passes_filter(candidate, filt):
             return candidate
     raise GenerationExhausted(f"no {boxes}-box subset of {instance.id or 'instance'} met the filter")
 
@@ -293,9 +289,7 @@ def generate_stp(width: int, filt: GenFilter, seed: int, id: str = "") -> Puzzle
             tiles = _scramble(width, moves, rng)
             provenance = {"method": "scramble", "scramble_moves": moves}
         instance = domains.stp.make_instance(tiles, width, id=id, seed=seed, provenance=provenance)
-        result = astar(instance, _QUICK, limits=filt.search_limits())
-        if filt.accepts(result):
-            instance.provenance.update(_filter_provenance(filt, result))
+        if _passes_filter(instance, filt):
             return instance
     raise GenerationExhausted(f"no {width}x{width} sliding-tile instance met the filter (seed {seed})")
 
@@ -404,9 +398,8 @@ def build_maze_split(split: str, master_seed: int, scale: float = 1.0, jobs: int
     return map_tasks(_maze_worker, tasks, jobs, chunksize=4)
 
 
-def build_stp_split(split: str, master_seed: int, scale: float = 1.0, jobs: int = 1,
-                    blocks: tuple[SplitSpec, ...] | None = None) -> list[PuzzleInstance]:
-    tasks = _expand_blocks(blocks or STP_SPLITS[split], split, master_seed, scale)
+def build_stp_split(split: str, master_seed: int, scale: float = 1.0, jobs: int = 1) -> list[PuzzleInstance]:
+    tasks = _expand_blocks(STP_SPLITS[split], split, master_seed, scale)
     return map_tasks(_stp_worker, tasks, jobs, chunksize=4)
 
 
@@ -467,15 +460,15 @@ def write_split(instances: Iterable[PuzzleInstance], out_dir: str | Path, force:
 
 def read_split(in_dir: str | Path) -> list[PuzzleInstance]:
     """The instances of a split folder in id order. A manifest record lacking
-    a field, or a board that does not parse, fails naming its file."""
+    a field or naming no domain, or a board that does not parse, fails naming its file."""
     manifest = Path(in_dir) / "manifest.jsonl"
-    entries = convert_records(manifest, read_jsonl(manifest), lambda row: (row["id"], row["seed"], row["domain"], row))
+    entries = convert_records(manifest, read_jsonl(manifest), lambda row: (row["id"], row["seed"], Domain(row["domain"]), row))
     out = []
     for inst_id, seed, domain, row in sorted(entries, key=lambda entry: entry[0]):
         board = manifest.with_name(f"{inst_id}.txt")
         try:
             inst = domains.parse_ascii(board.read_text(encoding="utf-8"), domain)
         except ParseError as exc:
-            raise ParseError(f"{board}: {exc}") from None
+            raise ParseError(f"{board}: {exc.reason}", exc.line, exc.column) from None
         out.append(dataclasses.replace(inst, id=inst_id, seed=seed, provenance=dict(row)))
     return out

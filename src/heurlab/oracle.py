@@ -57,17 +57,20 @@ def oracle_distances(instance: PuzzleInstance) -> dict[bytes, int]:
     return {MazeState(divmod(i, width)).key(): d for i, d in enumerate(dist) if d >= 0}
 
 
-def _parse_sections(sections) -> frozenset[SectionLabel]:
-    if isinstance(sections, str):
-        if sections.lower() == "all":
-            return ALL_SECTIONS
-        sections = [sections]
-    if isinstance(sections, SectionLabel):
-        sections = [sections]
-    out = frozenset(SectionLabel(s) for s in sections)
-    if not out:
-        raise ValueError("oracle_sections must name at least one section")
-    return out
+_SELECTORS = {
+    "all": ALL_SECTIONS,
+    **{s.value: frozenset([s]) for s in SectionLabel},
+    **{f"~{s.value}": ALL_SECTIONS - {s} for s in SectionLabel},
+}
+
+
+def parse_sections(selector: str) -> frozenset[SectionLabel]:
+    """The sections a selector names, in any case: ``all``, one of
+    ``initial``/``middle``/``end``, or ``~<section>`` for the other two."""
+    try:
+        return _SELECTORS[selector.lower()]
+    except (AttributeError, KeyError):  # a non-string has no .lower()
+        raise ValueError(f"unknown section selector {selector!r}; choose from {sorted(_SELECTORS)}") from None
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class NoiseSpec:
     """Which sections keep the exact oracle, and how the rest are perturbed."""
 
     sigma: float
-    oracle_sections: object = "all"  # section name(s) or "all"
+    oracle_sections: str = "all"  # a parse_sections selector; held as the parsed set
     noise_seed: int = 0
     clamp_at_zero: bool = True
     per_query: bool = False  # redraw noise on every query instead of per state
@@ -83,7 +86,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        object.__setattr__(self, "oracle_sections", _parse_sections(self.oracle_sections))
+        object.__setattr__(self, "oracle_sections", parse_sections(self.oracle_sections))
 
 
 class NoisyOracle(HeuristicEvaluator):
@@ -167,7 +170,7 @@ def run_oracle_experiment(
     details[("all", None, None)] = exact
     rows.append(_row("all", None, [exact]))
     for sigma in sigmas:
-        for section in (SectionLabel.INITIAL, SectionLabel.MIDDLE, SectionLabel.END):
+        for section in SectionLabel:
             per_seed = []
             for seed in seeds:
                 spec = NoiseSpec(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import domains
 from .domains import Domain, PuzzleInstance
-from .oracle import SectionLabel, section_of
+from .oracle import SectionLabel, parse_sections, section_of
 from .search import SearchResult
 from .util import convert_records, derive_seed, read_jsonl, write_jsonl
 from .generation import stp_symbol_table
@@ -482,29 +482,18 @@ def combine_with_baseline(
 # ---------------------------------------------------------------------------
 # Section-restricted splits
 
-_SECTION_CHOICES = {
-    "all": None,
-    **{s.value: frozenset([s]) for s in SectionLabel},
-    **{f"~{s.value}": frozenset(set(SectionLabel) - {s}) for s in SectionLabel},
-}
-
-
 def build_section_split(pool: Sequence[TrainingExample], selector: str, size: int, seed: int = 0) -> list[TrainingExample]:
-    """Uniform sample of exactly ``size`` from the named section(s).
-
-    ``selector`` is one of all/initial/middle/end or an exclusion ~initial/
-    ~middle/~end. Raises if the section holds fewer than ``size`` examples.
+    """Uniform sample of exactly ``size`` from the sections that ``selector``
+    names (see ``oracle.parse_sections``). Raises if they hold fewer than
+    ``size`` examples.
     """
-    key = selector.lower()
-    if key not in _SECTION_CHOICES:
-        raise ValueError(f"unknown section selector {selector!r}; choose from {sorted(_SECTION_CHOICES)}")
-    wanted = _SECTION_CHOICES[key]
-    eligible = list(pool) if wanted is None else [ex for ex in pool if ex.section in wanted]
+    wanted = parse_sections(selector)
+    eligible = [ex for ex in pool if ex.section in wanted]
     if len(eligible) < size:
         raise ValueError(
             f"section {selector!r} holds {len(eligible)} examples, {size - len(eligible)} short of {size}"
         )
-    rng = random.Random(derive_seed(seed, "section", key))
+    rng = random.Random(derive_seed(seed, "section", selector.lower()))
     return rng.sample(eligible, size)
 
 

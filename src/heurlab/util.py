@@ -81,13 +81,17 @@ def read_jsonl(path: str | Path) -> list[dict]:
 def convert_records(path: str | Path, records: Iterable[dict], convert: Callable) -> list:
     """``[convert(rec) for rec in records]`` for records read from ``path``;
     a record lacking a field raises
-    ``ValueError("<path>: record <n> has no field '<name>'")``."""
+    ``ValueError("<path>: record <n> has no field '<name>'")`` and one whose
+    conversion raises ``ValueError`` raises
+    ``ValueError("<path>: record <n>: <reason>")``."""
     out = []
     for number, rec in enumerate(records, 1):
         try:
             out.append(convert(rec))
         except KeyError as exc:
             raise ValueError(f"{path}: record {number} has no field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {number}: {exc}") from None
     return out
 
 

@@ -5,6 +5,7 @@ failures by raising SystemExit(2), which main() deliberately lets escape, so
 the helper below normalizes both styles to a plain return code.
 """
 
+import contextlib
 import csv
 import importlib.util
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from heurlab import cli, generation, pipeline, util
+from heurlab import cli, generation, models, pipeline, util
 from heurlab.domains import stp
 from heurlab.util import atomic_write, read_jsonl
 
@@ -264,6 +265,28 @@ def test_manifest_record_missing_a_field_names_it(split_dir, tmp_path, capsys, f
     util.write_jsonl(manifest, records)
     assert run_cli(["solve", "--instances", split, "--out", tmp_path / "r.jsonl"]) == 3
     assert f"error: {manifest}: record 2 has no field '{field}'" in capsys.readouterr().err
+
+
+def test_manifest_record_with_a_bad_value_names_it(split_dir, tmp_path, capsys):
+    split = shutil.copytree(split_dir, tmp_path / "split")
+    manifest = split / "manifest.jsonl"
+    records = read_jsonl(manifest)
+    records[1]["domain"] = "tiles"
+    util.write_jsonl(manifest, records)
+    assert run_cli(["solve", "--instances", split, "--out", tmp_path / "r.jsonl"]) == 3
+    assert f"error: {manifest}: record 2: 'tiles' is not a valid Domain\n" in capsys.readouterr().err
+
+
+def test_pool_record_with_a_bad_value_names_it(pool_file, tmp_path, capsys):
+    lines = Path(pool_file).read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["state_key"] = "zz" + record["state_key"]
+    bad = tmp_path / "nothex.jsonl"
+    bad.write_text("".join(lines[:2]) + json.dumps(record) + "\n" + "".join(lines[3:]))
+    assert run_cli(["train", "--pool", bad, "--out", tmp_path / "m.json"]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {bad}: record 3: non-hexadecimal number found in fromhex() arg at position 0\n" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_board_that_does_not_parse_names_its_file(split_dir, tmp_path, capsys):
@@ -537,7 +560,10 @@ def test_pipeline_resumes_after_a_failed_pool_write(tmp_path, monkeypatch, capsy
     assert "resuming: configuration matches" in out
     assert "[instances/train] up to date" in out
     assert "[pool] running" in out
+    _assert_same_workdir(run_a, run_b)
 
+
+def _assert_same_workdir(run_a, run_b):
     files_a = sorted(p.relative_to(run_a) for p in run_a.rglob("*") if p.is_file())
     files_b = sorted(p.relative_to(run_b) for p in run_b.rglob("*") if p.is_file())
     assert files_a == files_b
@@ -546,3 +572,45 @@ def test_pipeline_resumes_after_a_failed_pool_write(tmp_path, monkeypatch, capsy
         board_file = rel.parts[0] == "instances" and rel.suffix == ".txt"
         if board_file or rel.parts[0] in ("selections", "models") or rel.name in ("pool.jsonl", "comparison.csv"):
             assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes(), rel
+
+
+def test_pipeline_resumes_after_a_failed_model_write(tmp_path, monkeypatch, capsys):
+    # A model write that dies half way leaves neither the model file nor its
+    # temp file; the resumed run then matches an uninterrupted one.
+    argv = ["pipeline", "--scale", "0.01", "--strategies", "uniform,planner_aware", "--seed", "7"]
+    run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
+    assert run_cli(argv + ["--workdir", run_a]) == 0
+
+    real = models.atomic_write
+    partial = []
+
+    class HalfWriter:
+        def __init__(self, fh, tmp):
+            self.fh, self.tmp = fh, tmp
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            partial.append(self.tmp.stat().st_size)
+            raise OSError("no space left on device")
+
+    @contextlib.contextmanager
+    def dies_half_way(path):
+        with real(path) as fh:
+            path = Path(path)
+            yield HalfWriter(fh, path.with_name(path.name + ".tmp")) if path.parent.name == "models" else fh
+
+    monkeypatch.setattr(models, "atomic_write", dies_half_way)
+    assert run_cli(argv + ["--workdir", run_b]) == 3
+    assert "no space left on device" in capsys.readouterr().err
+    assert len(partial) == 1 and partial[0] > 0
+    assert (run_b / "selections" / "uniform.jsonl").exists()
+    assert sorted((run_b / "models").iterdir()) == []
+    monkeypatch.undo()
+
+    assert run_cli(argv + ["--workdir", run_b]) == 0
+    out = capsys.readouterr().out
+    assert "resuming: configuration matches" in out
+    assert "[selections/uniform] up to date" in out
+    assert "[models/uniform] running" in out
+    _assert_same_workdir(run_a, run_b)

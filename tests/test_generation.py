@@ -140,7 +140,15 @@ def reference_generate_maze(width, height, filt, seed):
             result = astar(instance, QuickHeuristic(), limits=filt.search_limits())
             searches += 1
             if filt.accepts(result):
-                instance.provenance.update(generation._filter_provenance(filt, result))
+                instance.provenance.update(
+                    o_l=filt.o_l,
+                    alpha=filt.alpha,
+                    beta_min=filt.beta_min,
+                    beta_max=filt.beta_max,
+                    plan_length=result.path_length,
+                    closed_length=result.closed_length,
+                    wall_time=result.wall_time,
+                )
                 instance.provenance["broken_walls"] = broken
                 return instance, searches
     raise GenerationExhausted(seed)
@@ -252,6 +260,9 @@ def test_load_boxoban_parses_and_translates_overlays(tmp_path):
     assert len(first.start_state.boxes) == len(first.board.docks) == 3
 
 
+_WALL_ROW = "#" * 10 + "\n"
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -259,6 +270,12 @@ def test_load_boxoban_parses_and_translates_overlays(tmp_path):
         ("; x\n##########\n", "bad puzzle index"),
         ("; 0\n####\n####\n", "expected 10"),
         ("; 4\n" + "#" * 10 + "\n#@$.z    #\n" + ("#" * 10 + "\n") * 8, "puzzle 4: unknown glyph 'z'"),
+        # A board fault is located at its own file line and column.
+        ("; 4\n" + _WALL_ROW + "#@$.z    #\n" + _WALL_ROW * 8, "puzzle 4: unknown glyph 'z' (line 3, column 5)"),
+        ("\n; 4\n" + _WALL_ROW * 5 + "#@$.z    #\n" + _WALL_ROW * 4, "puzzle 4: unknown glyph 'z' (line 8, column 5)"),
+        ("; 4\n" + _WALL_ROW * 9 + "###\n", "puzzle 4: ragged row: expected width 10, got 3 (line 11)"),
+        # A fault the board parser cannot place keeps the board's first row.
+        ("; 4\n" + _WALL_ROW + "#@$      #\n" + _WALL_ROW * 8, "puzzle 4: box/dock count mismatch: 1 boxes, 0 docks (line 2)"),
     ],
 )
 def test_load_boxoban_errors(tmp_path, text, fragment):
@@ -268,6 +285,7 @@ def test_load_boxoban_errors(tmp_path, text, fragment):
         load_boxoban(path)
     assert fragment in str(err.value)
     assert str(err.value).startswith(f"{path}: ")
+    assert str(err.value).count("(line") == 1
 
 
 def test_boxoban_fixture_boards_are_valid(tmp_path):

@@ -1,0 +1,40 @@
+"""Every module under ``src/heurlab`` uses each name it imports.
+
+A package ``__init__`` imports names to re-export them, so its imports are
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "heurlab"
+MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # An attribute chain such as ``np.array`` starts at a Name, and
+    # ``from __future__ import annotations`` still parses annotations.
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_the_check_sees_unused_names():
+    source = "import math\nimport os.path\nfrom typing import Sequence as Seq\nfrom x import y\nprint(y)\n"
+    assert unused_imports(source) == ["line 1: math", "line 2: os", "line 3: Seq"]
+    assert unused_imports("import numpy as np\nv = np.zeros(1)\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(SRC)))
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -69,6 +69,11 @@ def test_noise_spec_validation():
     spec = NoiseSpec(sigma=1.0, oracle_sections="end")
     assert spec.oracle_sections == frozenset({SectionLabel.END})
     assert NoiseSpec(sigma=0.0).oracle_sections == frozenset(SectionLabel)
+    # The selector grammar is the section splits' own: exclusions and any case.
+    assert NoiseSpec(sigma=1.0, oracle_sections="~End").oracle_sections == {SectionLabel.INITIAL, SectionLabel.MIDDLE}
+    assert NoiseSpec(sigma=1.0, oracle_sections=SectionLabel.MIDDLE).oracle_sections == {SectionLabel.MIDDLE}
+    with pytest.raises(ValueError, match="unknown section selector"):
+        NoiseSpec(sigma=1.0, oracle_sections=["end"])
 
 
 def test_exact_oracle_reports_true_distance(maze_train_150):

@@ -7,7 +7,7 @@ import pytest
 
 from heurlab import domains, evaluation, generation
 from heurlab.domains import Domain, maze
-from heurlab.oracle import SectionLabel, section_of
+from heurlab.oracle import SectionLabel, parse_sections, section_of
 from heurlab.pipeline import (
     CVariant,
     SamplingSpec,
@@ -369,6 +369,80 @@ def test_section_split_is_seeded():
     assert build_section_split(pool, "middle", 10, seed=1) == a
     b = build_section_split(pool, "middle", 10, seed=2)
     assert {ex.g for ex in a} != {ex.g for ex in b}
+
+
+# The two selector parsers that ``oracle.parse_sections`` replaced, as they
+# were: the noise study's (which also took a label or a list) and the section
+# split's lookup (None meaning every section).
+
+def _former_noise_sections(sections):
+    if isinstance(sections, str):
+        if sections.lower() == "all":
+            return frozenset(SectionLabel)
+        sections = [sections]
+    if isinstance(sections, SectionLabel):
+        sections = [sections]
+    out = frozenset(SectionLabel(s) for s in sections)
+    if not out:
+        raise ValueError("oracle_sections must name at least one section")
+    return out
+
+
+_FORMER_SPLIT_CHOICES = {
+    "all": None,
+    **{s.value: frozenset([s]) for s in SectionLabel},
+    **{f"~{s.value}": frozenset(set(SectionLabel) - {s}) for s in SectionLabel},
+}
+
+
+def _former_split_sections(selector):
+    wanted = _FORMER_SPLIT_CHOICES[selector.lower()]
+    return frozenset(SectionLabel) if wanted is None else wanted
+
+
+def _former_section_split(pool, selector, size, seed):
+    wanted = _FORMER_SPLIT_CHOICES[selector.lower()]
+    eligible = list(pool) if wanted is None else [ex for ex in pool if ex.section in wanted]
+    return random.Random(derive_seed(seed, "section", selector.lower())).sample(eligible, size)
+
+
+GRAMMAR = ["all", "initial", "middle", "end", "~initial", "~middle", "~end"]
+SELECTORS = (
+    [variant for name in GRAMMAR for variant in (name, name.upper(), name.title())]
+    + list(SectionLabel)
+    + ["", "nonsense", "~all", "~", " end", "end ", "~~end", "initial,end"]
+)
+
+
+def test_parse_sections_agrees_with_both_former_parsers():
+    accepted = 0
+    for selector in SELECTORS:
+        for former in (_former_noise_sections, _former_split_sections):
+            try:
+                want = former(selector)
+            except (KeyError, ValueError):
+                continue
+            assert parse_sections(selector) == want, (selector, former.__name__)
+            accepted += 1
+    # The noise study took "all" in any case, the lowercase names and the
+    # labels (9); the split lookup took every grammar case and the labels (24).
+    assert accepted == 9 + 24
+
+
+def test_parse_sections_rejects_what_is_not_a_selector():
+    for selector in ["", "nonsense", "~all", " end", "~~end", "initial,end", None, 3, [], ["end"]]:
+        with pytest.raises(ValueError, match="unknown section selector"):
+            parse_sections(selector)
+
+
+def test_section_split_matches_the_former_lookup():
+    rng = random.Random(17)
+    pool = [ex for i in range(6) for ex in _fake_group(f"p{i}", rng.randint(9, 30))]
+    rng.shuffle(pool)
+    for selector in GRAMMAR + [name.upper() for name in GRAMMAR]:
+        for seed in (0, 1, 2):
+            want = _former_section_split(pool, selector, 20, seed)
+            assert build_section_split(pool, selector, 20, seed) == want, (selector, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ instead. They import the tracer and edit nothing under ``perfbench/``.
 import importlib.util
 from pathlib import Path
 
-from heurlab import cli, evaluation, oracle, pipeline, util
+from conftest import make_boxoban_fixture
+
+from heurlab import cli, evaluation, generation, oracle, pipeline, util
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
@@ -61,3 +63,22 @@ def test_oracle_study_solves_through_the_traced_bindings(maze_train_150):
     assert tracer.stats["search.astar"][0] == 10
     assert tracer.stats["oracle.NoisyOracle.evaluate_batch"][0] > 0
     assert tracer.counters["search.oracle.expansions"] > 0
+
+
+def test_every_difficulty_gate_search_is_a_traced_generation_attempt(tmp_path):
+    # The gate must reach A* through generation.astar, the binding the tracer
+    # wraps; a search made through any other binding is missing from both
+    # counts below, and then they disagree or stay zero.
+    path = make_boxoban_fixture(tmp_path / "gen.txt", count=1, n_boxes=4, seed=4)
+    base = generation.load_boxoban(path)[0]
+    traced = _load_traced()
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer)
+        generation.generate_stp(3, generation.GenFilter(o_l=12, retries=1), seed=2)
+        generation.subsample_boxes(base, 2, seed=11, filt=generation.GenFilter(o_l=1, retries=4))
+    finally:
+        tracer.restore()
+    assert tracer.counters["generation.attempts"] >= 2
+    assert tracer.counters["generation.attempts"] == tracer.stats["search.astar"][0]
+    assert tracer.counters["generation.accepted"] == 2
