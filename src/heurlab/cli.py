@@ -157,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-variant", choices=[c.value for c in pipeline.CVariant], default="log_ratio")
     p.add_argument("--budget", type=int, help="global selection size")
     p.add_argument("--per-problem-m", type=int, help="per-instance size (alternative to --budget)")
-    p.add_argument("--section", help="section_split/exclusion_split target: initial, middle, end")
+    p.add_argument("--section",
+                   help="section_split selector: all, initial, middle, end or ~<section> for the other two")
     p.add_argument("--clusters", type=int, help="semdedup cluster count (default pool/200)")
     p.add_argument("--threshold", type=float, default=0.95, help="semdedup cosine cutoff")
     p.set_defaults(func=cmd_sample)
@@ -290,8 +291,7 @@ def _evaluator_factory(args, instances):
 
 
 def _read_references(path) -> dict:
-    per_record = convert_records(path, read_jsonl(path), lambda rec: evaluation.references_from_records([rec]))
-    return {key: ref for refs in per_record for key, ref in refs.items()}
+    return {ref.instance_id: ref for ref in convert_records(path, read_jsonl(path), evaluation.reference_from_record)}
 
 
 def _quick_pool(instances, limits, jobs):

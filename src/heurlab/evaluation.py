@@ -20,7 +20,7 @@ import platform
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .domains import PuzzleInstance
 from .search import HeuristicEvaluator, QuickHeuristic, SearchLimits, SearchResult, TieBreak, astar
@@ -101,9 +101,9 @@ def reference_records(references: Mapping[str, ReferenceSolution]) -> list[dict]
     return [asdict(ref) for _, ref in sorted(references.items())]
 
 
-def references_from_records(records: Iterable[dict]) -> dict[str, ReferenceSolution]:
-    names = [f.name for f in fields(ReferenceSolution)]
-    return {rec["instance_id"]: ReferenceSolution(*(rec[name] for name in names)) for rec in records}
+def reference_from_record(rec: dict) -> ReferenceSolution:
+    return ReferenceSolution(*(rec[f.name] for f in fields(ReferenceSolution)))
+
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -5,7 +5,8 @@ A pool example is one node of an optimal plan; its regression target is the
 residual d* = (plan_len - g) - quick_h, the gap between the exact
 distance-to-goal and the quick heuristic. Node utility grows with depth,
 C(n) = ln(plan_len / (plan_len - g)), and the planner-aware sampler draws
-nodes per instance from SoftMax(C / tau) without replacement.
+nodes per instance from SoftMax(C / tau) without replacement. Every
+selection strategy is reached through ``run_strategy``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class Strategy(str, Enum):
     SEMDEDUP = "semdedup"
     COMBINED = "combined"  # semdedup baseline merged with planner-aware draws
     SECTION_SPLIT = "section_split"
-    EXCLUSION_SPLIT = "exclusion_split"
 
 
 @dataclass(frozen=True)
@@ -180,47 +180,6 @@ def group_by_instance(pool: Sequence[TrainingExample]) -> dict[str, list[Trainin
     return groups
 
 
-def _draw_per_instance(pool: Sequence[TrainingExample], m: int,
-                       draw: Callable[[str, list, int], list]) -> list[TrainingExample]:
-    """Concatenate ``draw(instance_id, group, take)`` over the instances in id
-    order, with take = min(m, len(group)). Each draw seeds itself from the
-    instance id, so results do not depend on pool interleaving."""
-    out = []
-    groups = group_by_instance(pool)
-    for instance_id in sorted(groups):
-        group = groups[instance_id]
-        out.extend(draw(instance_id, group, min(m, len(group))))
-    return out
-
-
-def _planner_aware_draw(group: Sequence[TrainingExample], take: int, tau: float, c_variant: CVariant,
-                        seed: int) -> list[TrainingExample]:
-    """``take`` SoftMax(C/tau) draws without replacement from one instance's group."""
-    rng = random.Random(derive_seed(seed, "planner_aware", group[0].instance_id))
-    return weighted_sample_without_replacement(group, planner_aware_probs(group, tau, c_variant), take, rng)
-
-
-def sample_planner_aware(
-    pool: Sequence[TrainingExample],
-    m: int,
-    tau: float,
-    c_variant: CVariant = CVariant.LOG_RATIO,
-    seed: int = 0,
-) -> list[TrainingExample]:
-    """Per-instance SoftMax(C/tau) draws without replacement, m per instance
-    (whole group when smaller)."""
-    return _draw_per_instance(pool, m, lambda _, group, take: _planner_aware_draw(group, take, tau, c_variant, seed))
-
-
-def sample_uniform(pool: Sequence[TrainingExample], m: int, seed: int = 0) -> list[TrainingExample]:
-    """Per-instance uniform draws without replacement, m per instance."""
-
-    def draw(instance_id, group, take):
-        return random.Random(derive_seed(seed, "uniform", instance_id)).sample(group, take)
-
-    return _draw_per_instance(pool, m, draw)
-
-
 def per_problem_m(budget: int, n_instances: int) -> int:
     if budget < 1 or n_instances < 1:
         raise ValueError("budget and instance count must be positive")
@@ -234,19 +193,6 @@ def trim_to_budget(selected: Sequence[TrainingExample], budget: int, seed: int) 
     rng = random.Random(derive_seed(seed, "trim"))
     drop = set(rng.sample(range(len(selected)), len(selected) - budget))
     return [ex for i, ex in enumerate(selected) if i not in drop]
-
-
-def select_with_budget(
-    pool: Sequence[TrainingExample],
-    budget: int,
-    seed: int,
-    selector: Callable[[Sequence[TrainingExample], int], list[TrainingExample]],
-) -> list[TrainingExample]:
-    """Apportion a global budget as per-problem m = ceil(budget / #instances),
-    then trim the overshoot uniformly."""
-    groups = group_by_instance(pool)
-    m = per_problem_m(budget, len(groups))
-    return trim_to_budget(selector(pool, m), budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +407,6 @@ def combine_resample(
     return weighted_sample_without_replacement(union, weights, take, rng)
 
 
-def combine_with_baseline(
-    pool: Sequence[TrainingExample],
-    m: int,
-    tau: float,
-    c_variant: CVariant = CVariant.LOG_RATIO,
-    seed: int = 0,
-) -> list[TrainingExample]:
-    """Per instance: m semdedup draws, m planner-aware draws, then resample m
-    from the union with intersection members double-weighted."""
-
-    def draw(instance_id, group, take):
-        s1 = semdedup_select(group, take, seed=derive_seed(seed, "baseline", instance_id))
-        s2 = _planner_aware_draw(group, take, tau, c_variant, seed)
-        return combine_resample(s1, s2, take, random.Random(derive_seed(seed, "combine", instance_id)))
-
-    return _draw_per_instance(pool, m, draw)
-
-
 # ---------------------------------------------------------------------------
 # Section-restricted splits
 
@@ -498,14 +426,50 @@ def build_section_split(pool: Sequence[TrainingExample], selector: str, size: in
 
 
 # ---------------------------------------------------------------------------
-# Strategy dispatch used by the end-to-end pipeline
+# Strategy dispatch: the one selection path
+
+def _uniform_draw(group: Sequence[TrainingExample], take: int, spec: SamplingSpec) -> list[TrainingExample]:
+    return random.Random(derive_seed(spec.seed, "uniform", group[0].instance_id)).sample(group, take)
+
+
+def _planner_aware_draw(group: Sequence[TrainingExample], take: int, spec: SamplingSpec) -> list[TrainingExample]:
+    """``take`` SoftMax(C/tau) draws without replacement."""
+    rng = random.Random(derive_seed(spec.seed, "planner_aware", group[0].instance_id))
+    return weighted_sample_without_replacement(group, planner_aware_probs(group, spec.tau, spec.c_variant), take, rng)
+
+
+def _combined_draw(group: Sequence[TrainingExample], take: int, spec: SamplingSpec) -> list[TrainingExample]:
+    """``take`` semdedup draws and ``take`` planner-aware draws, then ``take``
+    resampled from their union with intersection members double-weighted."""
+    instance_id = group[0].instance_id
+    s1 = semdedup_select(group, take, seed=derive_seed(spec.seed, "baseline", instance_id))
+    s2 = _planner_aware_draw(group, take, spec)
+    return combine_resample(s1, s2, take, random.Random(derive_seed(spec.seed, "combine", instance_id)))
+
+
+# The per-instance strategies: each draws ``take`` examples from one
+# instance's depth-ordered group, seeding itself from the instance id.
+_DRAWS = {
+    Strategy.UNIFORM: _uniform_draw,
+    Strategy.PLANNER_AWARE: _planner_aware_draw,
+    Strategy.COMBINED: _combined_draw,
+}
+
 
 def run_strategy(pool: Sequence[TrainingExample], spec: SamplingSpec) -> list[TrainingExample]:
-    if spec.strategy in (Strategy.SECTION_SPLIT, Strategy.EXCLUSION_SPLIT):
+    """Select from ``pool`` as ``spec`` says.
+
+    ``section_split`` and ``semdedup`` select from the whole pool. Every other
+    strategy concatenates its per-instance draws of m examples (the whole
+    group when smaller) over the instance ids in sorted order, so the result
+    does not depend on how the pool is interleaved. A ``total_budget`` sets
+    m = ceil(budget / #instances), taking precedence over ``per_problem_m``,
+    and the overshoot is then trimmed uniformly.
+    """
+    if spec.strategy is Strategy.SECTION_SPLIT:
         if spec.section is None or spec.total_budget is None:
             raise ValueError("section splits need section and total_budget")
-        selector = spec.section if spec.strategy is Strategy.SECTION_SPLIT else f"~{spec.section}"
-        return build_section_split(pool, selector, spec.total_budget, spec.seed)
+        return build_section_split(pool, spec.section, spec.total_budget, spec.seed)
     if spec.strategy is Strategy.SEMDEDUP:
         if spec.total_budget is None:
             raise ValueError("semdedup selection is budget-global; set total_budget")
@@ -513,17 +477,14 @@ def run_strategy(pool: Sequence[TrainingExample], spec: SamplingSpec) -> list[Tr
 
     if spec.total_budget is None and spec.per_problem_m is None:
         raise ValueError("sampling needs total_budget or per_problem_m")
-    if spec.strategy is Strategy.UNIFORM:
-        selector = lambda p, m: sample_uniform(p, m, spec.seed)
-    elif spec.strategy is Strategy.PLANNER_AWARE:
-        selector = lambda p, m: sample_planner_aware(p, m, spec.tau, spec.c_variant, spec.seed)
-    elif spec.strategy is Strategy.COMBINED:
-        selector = lambda p, m: combine_with_baseline(p, m, spec.tau, spec.c_variant, spec.seed)
-    else:
-        raise ValueError(f"unknown strategy {spec.strategy}")
-    if spec.total_budget is not None:
-        return select_with_budget(pool, spec.total_budget, spec.seed, selector)
-    return selector(pool, spec.per_problem_m)
+    draw = _DRAWS[spec.strategy]
+    groups = group_by_instance(pool)
+    m = spec.per_problem_m if spec.total_budget is None else per_problem_m(spec.total_budget, len(groups))
+    selected = []
+    for instance_id in sorted(groups):
+        group = groups[instance_id]
+        selected.extend(draw(group, min(m, len(group)), spec))
+    return selected if spec.total_budget is None else trim_to_budget(selected, spec.total_budget, spec.seed)
 
 
 # ---------------------------------------------------------------------------

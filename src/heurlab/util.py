@@ -82,15 +82,15 @@ def convert_records(path: str | Path, records: Iterable[dict], convert: Callable
     """``[convert(rec) for rec in records]`` for records read from ``path``;
     a record lacking a field raises
     ``ValueError("<path>: record <n> has no field '<name>'")`` and one whose
-    conversion raises ``ValueError`` raises
-    ``ValueError("<path>: record <n>: <reason>")``."""
+    conversion raises ``ValueError`` or ``TypeError`` (a field of the wrong
+    JSON type) raises ``ValueError("<path>: record <n>: <reason>")``."""
     out = []
     for number, rec in enumerate(records, 1):
         try:
             out.append(convert(rec))
         except KeyError as exc:
             raise ValueError(f"{path}: record {number} has no field {exc}") from None
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}: record {number}: {exc}") from None
     return out
 

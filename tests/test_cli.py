@@ -105,6 +105,11 @@ def test_argparse_failures_exit_2():
     assert run_cli(["sample", "--pool", "p", "--out", "o", "--strategy", "psychic"]) == 2
 
 
+def test_exclusion_split_is_gone_for_section_split_selectors():
+    # `--strategy section_split --section ~<s>` took its place.
+    assert run_cli(["sample", "--pool", "p", "--out", "o", "--strategy", "exclusion_split", "--section", "end"]) == 2
+
+
 def test_usage_errors_exit_2(split_dir, tmp_path, capsys):
     code = run_cli(["solve", "--instances", split_dir, "--out", str(tmp_path / "r.jsonl"),
                     "--heuristic", "learned"])
@@ -287,6 +292,21 @@ def test_pool_record_with_a_bad_value_names_it(pool_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {bad}: record 3: non-hexadecimal number found in fromhex() arg at position 0\n" in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_pool_record_of_the_wrong_type_names_it(pool_file, tmp_path, capsys, command):
+    lines = Path(pool_file).read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["state_key"] = 5
+    bad = tmp_path / "badtype.jsonl"
+    bad.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+    out = tmp_path / "out"
+    budget = ["--budget", "5"] if command == "sample" else []
+    assert run_cli([command, "--pool", bad, "--out", out, *budget]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {bad}: record 2: fromhex() argument must be str, not int\n" in err
+    assert not out.exists()
 
 
 def test_board_that_does_not_parse_names_its_file(split_dir, tmp_path, capsys):

@@ -12,8 +12,8 @@ from heurlab.evaluation import (
     compute_metrics,
     compute_references,
     read_rows_csv,
+    reference_from_record,
     reference_records,
-    references_from_records,
     run_experiment,
     solve_all,
     write_report,
@@ -122,7 +122,7 @@ def test_reference_records_round_trip(maze_train_150):
     references, _ = compute_references(maze_train_150[:5])
     records = reference_records(references)
     assert [r["instance_id"] for r in records] == sorted(references)
-    assert references_from_records(records) == references
+    assert {rec["instance_id"]: reference_from_record(rec) for rec in records} == references
 
 
 def test_solve_all_parallel_matches_serial(maze_train_150):

@@ -1,11 +1,12 @@
 """Training-pool extraction and the selection strategies."""
 
+import inspect
 import math
 import random
 
 import pytest
 
-from heurlab import domains, evaluation, generation
+from heurlab import domains, evaluation, generation, pipeline
 from heurlab.domains import Domain, maze
 from heurlab.oracle import SectionLabel, parse_sections, section_of
 from heurlab.pipeline import (
@@ -15,7 +16,6 @@ from heurlab.pipeline import (
     TrainingExample,
     build_section_split,
     combine_resample,
-    combine_with_baseline,
     example_to_record,
     export_corpus,
     extract_pool,
@@ -27,9 +27,6 @@ from heurlab.pipeline import (
     record_to_example,
     render_prompt,
     run_strategy,
-    sample_planner_aware,
-    sample_uniform,
-    select_with_budget,
     semdedup_select,
     softmax,
     trim_to_budget,
@@ -175,7 +172,7 @@ def test_uniform_sampling_is_unbiased_over_seeds():
     counts = [0] * 30
     trials = 3000
     for seed in range(trials):
-        (chosen,) = sample_uniform(group, 1, seed=seed)
+        (chosen,) = run_strategy(group, SamplingSpec(Strategy.UNIFORM, per_problem_m=1, seed=seed))
         counts[chosen.g] += 1
     expected = trials / 30
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -197,19 +194,17 @@ def test_per_instance_samplers_ignore_pool_order():
     pool = _fake_group("a", 25) + _fake_group("b", 25)
     shuffled = pool[:]
     random.Random(9).shuffle(shuffled)
-    for sampler in (
-        lambda p: sample_uniform(p, 5, seed=1),
-        lambda p: sample_planner_aware(p, 5, tau=2.0, seed=1),
-    ):
-        straight = {(ex.instance_id, ex.g) for ex in sampler(pool)}
-        scrambled = {(ex.instance_id, ex.g) for ex in sampler(shuffled)}
+    for strategy in (Strategy.UNIFORM, Strategy.PLANNER_AWARE):
+        spec = SamplingSpec(strategy, tau=2.0, per_problem_m=5, seed=1)
+        straight = {(ex.instance_id, ex.g) for ex in run_strategy(pool, spec)}
+        scrambled = {(ex.instance_id, ex.g) for ex in run_strategy(shuffled, spec)}
         assert straight == scrambled
 
 
 def test_samplers_take_whole_group_when_small():
     pool = _fake_group("a", 3)
-    assert len(sample_uniform(pool, 10, seed=0)) == 3
-    assert len(sample_planner_aware(pool, 10, tau=1.0, seed=0)) == 3
+    for strategy in (Strategy.UNIFORM, Strategy.PLANNER_AWARE):
+        assert len(run_strategy(pool, SamplingSpec(strategy, per_problem_m=10, seed=0))) == 3
 
 
 def test_per_problem_m_and_trim():
@@ -228,11 +223,9 @@ def test_per_problem_m_and_trim():
     assert trim_to_budget(pool, 20, seed=4) == trimmed
 
 
-def test_select_with_budget_hits_budget_exactly(maze_pool_150):
+def test_total_budget_is_hit_exactly(maze_pool_150):
     budget = 500
-    selected = select_with_budget(
-        maze_pool_150, budget, seed=0, selector=lambda p, m: sample_uniform(p, m, seed=0)
-    )
+    selected = run_strategy(maze_pool_150, SamplingSpec(Strategy.UNIFORM, total_budget=budget, seed=0))
     assert len(selected) == budget
     keys = {(ex.instance_id, ex.g) for ex in selected}
     assert len(keys) == budget  # without replacement across the board
@@ -325,13 +318,14 @@ def test_combine_resample_identical_sets_return_the_union():
     assert sorted(ex.g for ex in out) == [0, 1]
 
 
-def test_combine_with_baseline_takes_m_per_instance():
+def test_combined_takes_m_per_instance():
     pool = _fake_group("a", 30) + _fake_group("b", 30)
-    out = combine_with_baseline(pool, 6, tau=2.0, seed=1)
+    spec = SamplingSpec(Strategy.COMBINED, tau=2.0, per_problem_m=6, seed=1)
+    out = run_strategy(pool, spec)
     groups = group_by_instance(out)
     assert {len(g) for g in groups.values()} == {6}
     assert sorted(groups) == ["a", "b"]
-    again = combine_with_baseline(pool, 6, tau=2.0, seed=1)
+    again = run_strategy(pool, spec)
     assert [(ex.instance_id, ex.g) for ex in again] == [(ex.instance_id, ex.g) for ex in out]
 
 
@@ -457,8 +451,21 @@ def test_run_strategy_dispatch():
     selected = run_strategy(pool, SamplingSpec(strategy=Strategy.SECTION_SPLIT, section="end", total_budget=6, seed=1))
     assert len(selected) == 6
     assert {ex.section for ex in selected} == {SectionLabel.END}
-    selected = run_strategy(pool, SamplingSpec(strategy=Strategy.EXCLUSION_SPLIT, section="end", total_budget=6, seed=1))
+    selected = run_strategy(pool, SamplingSpec(strategy=Strategy.SECTION_SPLIT, section="~end", total_budget=6, seed=1))
+    assert len(selected) == 6
     assert SectionLabel.END not in {ex.section for ex in selected}
+
+
+def test_every_strategy_has_a_selection_path():
+    # Each strategy is handled by name in run_strategy or draws per instance
+    # through the draw table, never both; a new one with neither fails here.
+    source = inspect.getsource(run_strategy)
+    pool = _fake_group("a", 12) + _fake_group("b", 9)
+    for strategy in Strategy:
+        by_name = f"Strategy.{strategy.name}" in source
+        assert by_name != (strategy in pipeline._DRAWS), strategy
+        spec = SamplingSpec(strategy, section="all", total_budget=5, seed=0)
+        assert len(run_strategy(pool, spec)) == 5, strategy
 
 
 def test_run_strategy_argument_errors():
