@@ -46,6 +46,18 @@ PIPELINE_ROWS = {
     "semdedup_planner": (pipeline.Strategy.COMBINED, "combined_tau"),
 }
 
+# The option flags of `sample` (by argparse dest) -> the SamplingSpec field
+# each sets; `pipeline.READS` says which strategies read that field.
+SAMPLE_OPTIONS = {
+    "tau": "tau",
+    "c_variant": "c_variant",
+    "budget": "total_budget",
+    "per_problem_m": "per_problem_m",
+    "section": "section",
+    "clusters": "n_clusters",
+    "threshold": "similarity_threshold",
+}
+
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
@@ -153,14 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=[s.value for s in pipeline.Strategy], default="uniform")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--c-variant", choices=[c.value for c in pipeline.CVariant], default="log_ratio")
-    p.add_argument("--budget", type=int, help="global selection size")
-    p.add_argument("--per-problem-m", type=int, help="per-instance size (alternative to --budget)")
-    p.add_argument("--section",
+    # SamplingSpec holds the defaults: an option left unset is absent from args.
+    unset = argparse.SUPPRESS
+    p.add_argument("--tau", type=float, default=unset)
+    p.add_argument("--c-variant", type=pipeline.CVariant, choices=[c.value for c in pipeline.CVariant], default=unset)
+    p.add_argument("--budget", type=int, default=unset, help="global selection size")
+    p.add_argument("--per-problem-m", type=int, default=unset, help="per-instance size (alternative to --budget)")
+    p.add_argument("--section", default=unset,
                    help="section_split selector: all, initial, middle, end or ~<section> for the other two")
-    p.add_argument("--clusters", type=int, help="semdedup cluster count (default pool/200)")
-    p.add_argument("--threshold", type=float, default=0.95, help="semdedup cosine cutoff")
+    p.add_argument("--clusters", type=int, default=unset, help="semdedup cluster count (default pool/200)")
+    p.add_argument("--threshold", type=float, default=unset, help="semdedup cosine cutoff")
     p.set_defaults(func=cmd_sample)
 
     p = register("train", "fit a residual model on a selection")
@@ -384,18 +398,16 @@ def cmd_extract(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    strategy = pipeline.Strategy(args.strategy)
+    given = {field: getattr(args, dest) for dest, field in SAMPLE_OPTIONS.items() if hasattr(args, dest)}
+    ignored = [f"--{dest.replace('_', '-')}" for dest, field in SAMPLE_OPTIONS.items()
+               if field in given and field not in pipeline.READS[strategy]]
+    if ignored:
+        raise UsageError(f"--strategy {strategy.value} does not read {', '.join(ignored)}")
+    if "total_budget" in given and "per_problem_m" in given:
+        raise UsageError("give --budget or --per-problem-m, not both: the budget would win")
     pool = pipeline.read_pool(args.pool)
-    spec = pipeline.SamplingSpec(
-        strategy=pipeline.Strategy(args.strategy),
-        tau=args.tau,
-        c_variant=pipeline.CVariant(args.c_variant),
-        total_budget=args.budget,
-        per_problem_m=args.per_problem_m,
-        section=args.section,
-        n_clusters=args.clusters,
-        similarity_threshold=args.threshold,
-        seed=args.seed,
-    )
+    spec = pipeline.SamplingSpec(strategy, seed=args.seed, **given)
     selection = pipeline.run_strategy(pool, spec)
     pipeline.write_pool(selection, args.out)
     print(f"{args.strategy}: {len(selection)} of {len(pool)} examples -> {args.out}")

@@ -163,15 +163,12 @@ def train_residual_model(
 class LearnedHeuristic(HeuristicEvaluator):
     """quick_heuristic + floored model residual; one predict_batch call per
     evaluate_batch. The search engine reuses each state's value within a
-    search (``cacheable``)."""
-
-    cacheable = True
+    search (``cacheable``, as every evaluator is by default)."""
 
     def __init__(self, model: ResidualModel, floor_at_zero: bool = True, round_predictions: bool = False):
         self.model = model
         self.floor_at_zero = floor_at_zero
         self.round_predictions = round_predictions
-        self.model_invocations = 0
 
     def evaluate_batch(self, states, instance, gs):
         if not states:
@@ -179,7 +176,6 @@ class LearnedHeuristic(HeuristicEvaluator):
         # Column 0 of every domain's feature vector is its quick heuristic.
         feats = np.array([domains.feature_vector(s, instance) for s in states], dtype=float)
         preds = predict_batch(self.model, feats)
-        self.model_invocations += 1
         if self.floor_at_zero:
             preds = np.maximum(preds, 0.0)
         if self.round_predictions:

@@ -108,7 +108,6 @@ class NoisyOracle(HeuristicEvaluator):
         self.plan_len = self.distances[start_key]
         self.cacheable = not spec.per_query
         self._draws = 0
-        self.fallback_queries = 0
 
     def evaluate_batch(self, states, instance, gs):
         spec = self.spec
@@ -118,9 +117,11 @@ class NoisyOracle(HeuristicEvaluator):
             key = domains.state_key(state)
             d = self.distances.get(key)
             if d is None:
-                # Disconnected pocket opened by wall breaking; fall back to the
-                # quick heuristic rather than failing the whole solve.
-                self.fallback_queries += 1
+                # A state the table lacks (a pocket that wall breaking cut off)
+                # gets the quick heuristic. This branch serves direct calls
+                # only: a search starts from a state that reaches the goal and
+                # maze moves are reversible, so every state it generates is in
+                # the table.
                 out.append(float(domains.quick_heuristic(state, instance)))
                 continue
             if exact_everywhere or section_of(g, self.plan_len) in spec.oracle_sections:

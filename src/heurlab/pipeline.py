@@ -125,6 +125,7 @@ def utility(g: int, plan_len: int, c_variant: CVariant = CVariant.LOG_RATIO) -> 
         raise ValueError("g must be nonnegative")
     if g >= plan_len:
         raise ValueError(f"utility undefined for g={g} >= plan_len={plan_len}")
+    c_variant = CVariant(c_variant)  # a plain "ratio" names the same variant
     if c_variant is CVariant.LOG_RATIO:
         return math.log(plan_len / (plan_len - g))
     if c_variant is CVariant.RATIO:
@@ -442,7 +443,8 @@ def _combined_draw(group: Sequence[TrainingExample], take: int, spec: SamplingSp
     """``take`` semdedup draws and ``take`` planner-aware draws, then ``take``
     resampled from their union with intersection members double-weighted."""
     instance_id = group[0].instance_id
-    s1 = semdedup_select(group, take, seed=derive_seed(spec.seed, "baseline", instance_id))
+    s1 = semdedup_select(group, take, spec.n_clusters, spec.similarity_threshold,
+                         derive_seed(spec.seed, "baseline", instance_id))
     s2 = _planner_aware_draw(group, take, spec)
     return combine_resample(s1, s2, take, random.Random(derive_seed(spec.seed, "combine", instance_id)))
 
@@ -453,6 +455,17 @@ _DRAWS = {
     Strategy.UNIFORM: _uniform_draw,
     Strategy.PLANNER_AWARE: _planner_aware_draw,
     Strategy.COMBINED: _combined_draw,
+}
+
+# The SamplingSpec fields each strategy reads besides strategy and seed.
+READS = {
+    Strategy.UNIFORM: frozenset({"total_budget", "per_problem_m"}),
+    Strategy.PLANNER_AWARE: frozenset({"total_budget", "per_problem_m", "tau", "c_variant"}),
+    Strategy.COMBINED: frozenset(
+        {"total_budget", "per_problem_m", "tau", "c_variant", "n_clusters", "similarity_threshold"}
+    ),
+    Strategy.SEMDEDUP: frozenset({"total_budget", "n_clusters", "similarity_threshold"}),
+    Strategy.SECTION_SPLIT: frozenset({"total_budget", "section"}),
 }
 
 

@@ -7,6 +7,7 @@ the helper below normalizes both styles to a plain return code.
 
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import json
 import re
@@ -350,6 +351,55 @@ def test_sample_section_split_needs_section(pool_file, tmp_path, capsys):
                     "--strategy", "section_split", "--budget", "9"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_sample_option_sets_a_field_some_strategy_reads():
+    cli.build_parser()
+    own = {"help", "config", "seed", "jobs", "pool", "out", "strategy"}
+    options = [a.dest for a in cli._SUBPARSERS["sample"]._actions if a.dest not in own]
+    assert sorted(options) == sorted(cli.SAMPLE_OPTIONS)
+    read = set().union(*pipeline.READS.values())
+    assert set(cli.SAMPLE_OPTIONS.values()) == read
+    assert read <= {f.name for f in dataclasses.fields(pipeline.SamplingSpec)}
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--strategy", "uniform", "--section", "end"], ["--section"]),
+    (["--tau", "1.0"], ["--tau"]),  # presence is refused, even at the spec's default
+    (["--strategy", "semdedup", "--per-problem-m", "3", "--c-variant", "ratio"], ["--c-variant", "--per-problem-m"]),
+    (["--strategy", "section_split", "--section", "end", "--clusters", "2", "--threshold", "0.5"],
+     ["--clusters", "--threshold"]),
+    (["--per-problem-m", "2"], ["--budget", "--per-problem-m"]),  # the budget would silently win
+])
+def test_sample_refuses_options_its_strategy_ignores(tmp_path, capsys, flags, named):
+    # Refused before the pool is read: this one does not exist.
+    out = tmp_path / "s.jsonl"
+    assert run_cli(["sample", "--pool", tmp_path / "missing.jsonl", "--out", out, "--budget", "9", *flags]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in named), err
+    assert not out.exists()
+
+
+def test_sample_config_option_the_strategy_ignores_exits_2(pool_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[sample]\nstrategy = uniform\ntau = 2.0\nbudget = 7\n")
+    out = tmp_path / "s.jsonl"
+    assert run_cli(["sample", "--config", cfg, "--pool", pool_file, "--out", out]) == 2
+    assert "--tau" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_combined_honours_threshold_and_clusters(pool_file, tmp_path):
+    def select(*flags):
+        out = tmp_path / f"{'_'.join(flags)}.jsonl"
+        assert run_cli(["sample", "--pool", pool_file, "--out", out, "--strategy", "combined",
+                        "--budget", "60", "--seed", "1", *flags]) == 0
+        return out.read_bytes()
+
+    default = select()
+    assert select("--threshold", "0.95") == default
+    assert select("--threshold", "0.3") != default
+    assert select("--clusters", "4") != default
 
 
 def test_train_prints_fit_quality(pool_file, tmp_path, capsys):

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from heurlab import domains
+from heurlab import domains, models
 from heurlab.domains import Domain, MazeState, stp
 from heurlab.models import (
     LearnedHeuristic,
@@ -272,19 +272,26 @@ def test_goal_state_keeps_zero_heuristic():
     assert evaluator.evaluate_batch([goal_state], inst, [3]) == [0.0]
 
 
-def test_cache_batches_one_model_call_per_evaluate(maze_train_150, maze_pool_150):
+def test_cache_batches_one_model_call_per_evaluate(maze_train_150, maze_pool_150, monkeypatch):
     # The engine memoises values within a search; the evaluator makes exactly
     # one predict_batch call for each evaluate_batch, whatever its size.
     model = train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
     inst = maze_train_150[1]
     evaluator = LearnedHeuristic(model)
+    calls = []
+
+    def counting(model, feats):
+        calls.append(len(feats))
+        return predict_batch(model, feats)
+
+    monkeypatch.setattr(models, "predict_batch", counting)
     states = [s for _, s in domains.successors(inst.start_state, inst)]
     first = evaluator.evaluate_batch(states, inst, [1] * len(states))
-    assert evaluator.model_invocations == 1
+    assert calls == [len(states)]
     assert evaluator.evaluate_batch(states, inst, [1] * len(states)) == first
-    assert evaluator.model_invocations == 2
+    assert calls == [len(states)] * 2
     assert evaluator.evaluate_batch([], inst, []) == []
-    assert evaluator.model_invocations == 2
+    assert calls == [len(states)] * 2
 
 
 def _sampled_states(instances, n_walks, walk_len, seed):

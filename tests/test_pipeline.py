@@ -1,5 +1,6 @@
 """Training-pool extraction and the selection strategies."""
 
+import dataclasses
 import inspect
 import math
 import random
@@ -112,6 +113,20 @@ def test_utility_closed_forms():
     assert abs(utility(5, 10, CVariant.LOG_RATIO) - math.log(2.0)) < 1e-12
     assert abs(utility(9, 10, CVariant.RATIO) - 10.0) < 1e-12
     assert abs(utility(3, 12, CVariant.LINEAR_DEPTH) - 0.25) < 1e-12
+    # A variant's plain name is the variant, not a fall-through to linear_depth.
+    assert utility(5, 10, "ratio") == utility(5, 10, CVariant.RATIO) == 2.0
+    with pytest.raises(ValueError):
+        utility(5, 10, "cubic")
+
+
+def test_c_variant_string_selects_like_its_enum():
+    pool = _fake_group("a", 30) + _fake_group("b", 20)
+    for strategy in (Strategy.PLANNER_AWARE, Strategy.COMBINED):
+        for variant in CVariant:
+            as_enum = run_strategy(pool, SamplingSpec(strategy, tau=0.5, c_variant=variant, per_problem_m=6, seed=2))
+            as_text = run_strategy(pool, SamplingSpec(strategy, tau=0.5, c_variant=variant.value, per_problem_m=6,
+                                                      seed=2))
+            assert as_text == as_enum, (strategy, variant)
 
 
 @pytest.mark.parametrize("bad", [(0, 0), (-1, 5), (5, 5), (6, 5)])
@@ -464,8 +479,23 @@ def test_every_strategy_has_a_selection_path():
     for strategy in Strategy:
         by_name = f"Strategy.{strategy.name}" in source
         assert by_name != (strategy in pipeline._DRAWS), strategy
+        assert strategy in pipeline.READS, strategy
         spec = SamplingSpec(strategy, section="all", total_budget=5, seed=0)
         assert len(run_strategy(pool, spec)) == 5, strategy
+
+
+def test_fields_a_strategy_does_not_read_leave_its_selection_alone():
+    rng = random.Random(4)
+    pool = [_fake_example(iid, g, n, vector=(rng.random(), rng.random(), rng.random()))
+            for iid, n in (("a", 15), ("b", 12), ("c", 9)) for g in range(n)]
+    others = {"tau": 0.3, "c_variant": CVariant.RATIO, "per_problem_m": 2, "section": "end",
+              "n_clusters": 3, "similarity_threshold": 0.3}
+    for strategy in Strategy:
+        base = SamplingSpec(strategy, section="all", total_budget=8, seed=5)
+        expected = run_strategy(pool, base)
+        for name, value in others.items():
+            if name not in pipeline.READS[strategy]:
+                assert run_strategy(pool, dataclasses.replace(base, **{name: value})) == expected, (strategy, name)
 
 
 def test_run_strategy_argument_errors():
