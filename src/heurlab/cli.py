@@ -173,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-problem-m", type=int, default=unset, help="per-instance size (alternative to --budget)")
     p.add_argument("--section", default=unset,
                    help="section_split selector: all, initial, middle, end or ~<section> for the other two")
-    p.add_argument("--clusters", type=int, default=unset, help="semdedup cluster count (default pool/200)")
+    p.add_argument("--clusters", type=int, default=unset,
+                   help="k-means cluster count of semdedup and of combined's per-instance dedup "
+                        "(default: one per 200 examples it dedups, rounded up)")
     p.add_argument("--threshold", type=float, default=unset, help="semdedup cosine cutoff")
     p.set_defaults(func=cmd_sample)
 

@@ -1,8 +1,10 @@
 """Residual regressors over feature vectors and the learned-heuristic evaluator.
 
 The models predict d* = h* - quick_h from a state's feature vector; at search
-time the evaluator returns quick_h + max(0, prediction) per state, batched once
-per expansion.
+time the evaluator returns quick_h + max(0, prediction) per state. A search
+driven alone makes one model call per evaluation request; ``solve_all`` drives
+up to ``evaluation.LOCKSTEP`` learned searches at once and makes one model call
+per round for all their requests.
 """
 
 from __future__ import annotations
@@ -161,20 +163,32 @@ def train_residual_model(
 # Search-time evaluator
 
 class LearnedHeuristic(HeuristicEvaluator):
-    """quick_heuristic + floored model residual; one predict_batch call per
-    evaluate_batch. The search engine reuses each state's value within a
-    search (``cacheable``, as every evaluator is by default)."""
+    """quick_heuristic + floored model residual; one feature matrix and one
+    predict_batch call per evaluate_batch or evaluate_pairs. The search
+    engine reuses each state's value within a search (``cacheable``, as
+    every evaluator is by default). Evaluators of one model and settings
+    share a ``batch_key``, so ``evaluation.solve_all`` runs their searches in
+    lockstep with one evaluate_pairs call per round across instances; every
+    step of the prediction is row by row, so a state's value does not depend
+    on the rows that share its call."""
 
     def __init__(self, model: ResidualModel, floor_at_zero: bool = True, round_predictions: bool = False):
         self.model = model
         self.floor_at_zero = floor_at_zero
         self.round_predictions = round_predictions
 
+    @property
+    def batch_key(self):
+        return id(self.model), self.floor_at_zero, self.round_predictions
+
     def evaluate_batch(self, states, instance, gs):
+        return self.evaluate_pairs(states, [instance] * len(states), gs)
+
+    def evaluate_pairs(self, states, instances, gs):
         if not states:
             return []
         # Column 0 of every domain's feature vector is its quick heuristic.
-        feats = np.array([domains.feature_vector(s, instance) for s in states], dtype=float)
+        feats = np.array([domains.feature_vector(s, inst) for s, inst in zip(states, instances)], dtype=float)
         preds = predict_batch(self.model, feats)
         if self.floor_at_zero:
             preds = np.maximum(preds, 0.0)

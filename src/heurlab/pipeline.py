@@ -70,12 +70,17 @@ class SamplingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", Strategy(self.strategy))  # a plain name is its strategy
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.total_budget is not None and self.total_budget < 1:
             raise ValueError("total_budget must be positive")
         if self.per_problem_m is not None and self.per_problem_m < 1:
             raise ValueError("per_problem_m must be positive")
+        if self.n_clusters is not None and self.n_clusters < 1:
+            raise ValueError("n_clusters must be positive")
+        if not math.isfinite(self.similarity_threshold):
+            raise ValueError("similarity_threshold must be finite")
 
 
 def extract_pool(solved: Iterable[tuple[PuzzleInstance, SearchResult]]) -> tuple[list[TrainingExample], int]:

@@ -14,6 +14,18 @@ heuristic and larger-g tie-breaking it equals the optimal plan length.
 The table of best nodes per state key is also the heuristic memo: every
 evaluated state enters it and never leaves, so a cacheable evaluator is asked
 only about states not yet in it.
+
+The engine is one generator, ``astar_steps``, which yields each evaluation
+request and is sent the values back. ``astar`` drives one search with one
+``evaluate_batch`` per request; ``evaluation.solve_all`` drives several in
+lockstep when the evaluator batches across instances, with one call per
+round for all their requests. Time attribution: a search's ``wall_time``
+(and so its ITR) is the ``perf_counter`` time of its own steps plus its
+share of each evaluation call, split by the rows it asked for; a search
+driven alone is charged each call in full. Each request's values come back
+with the seconds since the request that went to other searches, and the
+engine leaves those out. ``SearchLimits.max_wall_time`` compares against
+that same charged time.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Generator, Optional, Sequence
 
 from . import domains
 
@@ -90,11 +102,20 @@ class HeuristicEvaluator:
     ``cacheable`` lets the engine reuse a state's value within one search, so
     each distinct state is evaluated at most once; evaluators whose value is
     not a pure function of the state opt out.
+
+    An evaluator that can batch across instances sets ``batch_key`` to a
+    hashable value, equal for evaluators whose ``evaluate_pairs`` give the
+    same values, and implements ``evaluate_pairs``: state ``i`` of instance
+    ``i`` at depth ``gs[i]``, with each value independent of the other rows.
     """
 
     cacheable: bool = True
+    batch_key = None
 
     def evaluate_batch(self, states, instance, gs) -> list[float]:
+        raise NotImplementedError
+
+    def evaluate_pairs(self, states, instances, gs) -> list[float]:
         raise NotImplementedError
 
 
@@ -120,16 +141,26 @@ def reconstruct_path(node: SearchNode) -> list:
     return path
 
 
-def astar(
+def astar_steps(
     instance: domains.PuzzleInstance,
-    heuristic: HeuristicEvaluator,
+    cacheable: bool = True,
     limits: SearchLimits | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
-) -> SearchResult:
-    """Solve ``instance``; exhaustion and limits are ordinary results, not errors."""
-    t0 = time.perf_counter()
+) -> Generator[tuple[list, list], tuple[Sequence[float], float], SearchResult]:
+    """The search engine as a generator: it yields each evaluation request
+    ``(states, gs)`` and is sent back ``(values, idle)``, the states'
+    heuristic values and the seconds since the request that went to other
+    searches. It returns the ``SearchResult`` (as ``StopIteration.value``).
+
+    A cacheable evaluator is asked at most once per expansion, only about
+    children not yet in the node table, and not at all when every child is
+    known; an uncacheable one exactly once per expansion, empty requests
+    included. ``wall_time`` and ``max_wall_time`` use the charged time: the
+    seconds since the search started, less every ``idle``."""
+    clock = time.perf_counter
+    started = clock()
+    idle_total = 0.0
     limits = limits or SearchLimits()
-    use_cache = getattr(heuristic, "cacheable", True)
 
     if tie_break is TieBreak.LARGER_G:
         entry = lambda node: (node.f, -node.g, -node.seq, node)
@@ -138,16 +169,17 @@ def astar(
 
     start = instance.start_state
     start_key = domains.state_key(start)
-    h0 = float(heuristic.evaluate_batch([start], instance, [0])[0])
+    values, idle = yield [start], [0]
+    idle_total += idle
     heuristic_calls = 1
-    root = SearchNode(start, start_key, 0, h0, None, 0)
+    root = SearchNode(start, start_key, 0, float(values[0]), None, 0)
     best: dict[bytes, SearchNode] = {start_key: root}
     heap = [entry(root)]
     closed = 0
     next_seq = 1
 
     def result(status, node=None):
-        wall = time.perf_counter() - t0
+        wall = clock() - started - idle_total
         if node is None:
             return SearchResult(status, [], 0, closed, heuristic_calls, wall)
         return SearchResult(status, reconstruct_path(node), node.g, closed, heuristic_calls, wall)
@@ -160,20 +192,20 @@ def astar(
             return result(Status.SOLUTION_FOUND, node)
         if limits.max_iterations is not None and closed >= limits.max_iterations:
             return result(Status.LIMIT_EXCEEDED)
-        if limits.max_wall_time is not None and time.perf_counter() - t0 > limits.max_wall_time:
+        if limits.max_wall_time is not None and clock() - started - idle_total > limits.max_wall_time:
             return result(Status.LIMIT_EXCEEDED)
         closed += 1
         g_child = node.g + 1
         children = [(s, domains.state_key(s)) for _, s in domains.successors(node.state, instance)]
-        # One evaluator call per expansion: a cacheable evaluator only for the
-        # children not yet in the table, and none when every child is known.
-        asked = [c for c in children if c[1] not in best] if use_cache else children
-        if asked or not use_cache:
-            values = iter(heuristic.evaluate_batch([s for s, _ in asked], instance, [g_child] * len(asked)))
+        asked = [c for c in children if c[1] not in best] if cacheable else children
+        if asked or not cacheable:
+            values, idle = yield [s for s, _ in asked], [g_child] * len(asked)
+            idle_total += idle
+            values = iter(values)
             heuristic_calls += len(asked)
         for s, k in children:
             existing = best.get(k)
-            h = existing.h if use_cache and existing is not None else float(next(values))
+            h = existing.h if cacheable and existing is not None else float(next(values))
             f = g_child + h
             if existing is not None and f >= existing.f:
                 continue
@@ -182,3 +214,22 @@ def astar(
             best[k] = child  # supersedes a frontier twin or reopens a closed state
             heappush(heap, entry(child))
     return result(Status.FRONTIER_EXHAUSTED)
+
+
+def astar(
+    instance: domains.PuzzleInstance,
+    heuristic: HeuristicEvaluator,
+    limits: SearchLimits | None = None,
+    tie_break: TieBreak = TieBreak.LARGER_G,
+) -> SearchResult:
+    """Solve ``instance``; exhaustion and limits are ordinary results, not
+    errors. Drives ``astar_steps`` with one ``evaluate_batch`` per request;
+    no time goes to another search, so every request is sent back with no
+    idle seconds."""
+    steps = astar_steps(instance, getattr(heuristic, "cacheable", True), limits, tie_break)
+    try:
+        states, gs = next(steps)
+        while True:
+            states, gs = steps.send((heuristic.evaluate_batch(states, instance, gs), 0.0))
+    except StopIteration as done:
+        return done.value

@@ -19,7 +19,9 @@ from heurlab.evaluation import (
     write_report,
     write_rows_csv,
 )
-from heurlab.search import QuickHeuristic, SearchLimits, SearchResult, Status, ZeroHeuristic
+from heurlab import models
+from heurlab.models import LearnedHeuristic, predict_batch, train_residual_model
+from heurlab.search import QuickHeuristic, SearchLimits, SearchResult, Status, ZeroHeuristic, astar
 
 
 def _ref(instance_id, closed, plan, wall=1.0):
@@ -135,6 +137,47 @@ def test_solve_all_parallel_matches_serial(maze_train_150):
         assert twin.path == result.path
         assert twin.closed_length == result.closed_length
         assert twin.heuristic_calls == result.heuristic_calls
+
+
+@pytest.fixture(scope="module")
+def maze_model(maze_pool_150):
+    return train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
+
+
+def test_learned_solve_all_matches_lone_searches_for_any_jobs(maze_train_150, maze_model):
+    # Learned searches run in lockstep, in-process or one chunk per worker,
+    # and each result equals the search driven alone.
+    subset = maze_train_150[:40]
+    serial = solve_all(subset, lambda inst: LearnedHeuristic(maze_model), jobs=1)
+    parallel = solve_all(subset, lambda inst: LearnedHeuristic(maze_model), jobs=4)
+    assert list(serial) == list(parallel) == [inst.id for inst in subset]
+    for inst in subset:
+        alone = astar(inst, LearnedHeuristic(maze_model))
+        for res in (serial[inst.id], parallel[inst.id]):
+            assert res.status is alone.status
+            assert res.path == alone.path
+            assert res.closed_length == alone.closed_length
+            assert res.heuristic_calls == alone.heuristic_calls
+
+
+def test_lockstep_shares_model_calls_across_searches(maze_train_150, maze_model, monkeypatch):
+    # Alone, a search makes one predict_batch call per non-empty request; in
+    # lockstep one call serves a round of requests from several searches.
+    calls = []
+
+    def counting(model, feats):
+        calls.append(len(feats))
+        return predict_batch(model, feats)
+
+    monkeypatch.setattr(models, "predict_batch", counting)
+    subset = maze_train_150[:20]
+    alone = [astar(inst, LearnedHeuristic(maze_model)) for inst in subset]
+    requests = len(calls)
+    calls.clear()
+    together = solve_all(subset, lambda inst: LearnedHeuristic(maze_model))
+    assert len(calls) < requests
+    assert sum(calls) == sum(res.heuristic_calls for res in alone)
+    assert [res.heuristic_calls for res in together.values()] == [res.heuristic_calls for res in alone]
 
 
 def test_self_comparison_is_exactly_one(maze_train_150):

@@ -517,6 +517,29 @@ def test_sampling_spec_validation():
         SamplingSpec(per_problem_m=0)
 
 
+
+def test_sampling_spec_plain_strategy_name_selects_like_its_enum():
+    pool = _fake_group("a", 12) + _fake_group("b", 9)
+    for strategy in Strategy:
+        by_name = SamplingSpec(strategy.value, section="all", total_budget=5, seed=0)
+        assert by_name.strategy is strategy
+        assert run_strategy(pool, by_name) == run_strategy(pool, SamplingSpec(strategy, section="all", total_budget=5))
+    with pytest.raises(ValueError, match="not a valid Strategy"):
+        SamplingSpec("semdedupe", total_budget=3)
+
+
+@pytest.mark.parametrize("n_clusters", [0, -4])
+def test_sampling_spec_rejects_cluster_counts_below_one(n_clusters):
+    with pytest.raises(ValueError, match="n_clusters must be positive"):
+        SamplingSpec(Strategy.SEMDEDUP, total_budget=3, n_clusters=n_clusters)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_sampling_spec_rejects_non_finite_similarity_thresholds(threshold):
+    with pytest.raises(ValueError, match="similarity_threshold must be finite"):
+        SamplingSpec(Strategy.SEMDEDUP, total_budget=3, similarity_threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # Records and prompt export
 

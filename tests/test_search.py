@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 from heapq import heappop, heappush
+from itertools import groupby
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import MASTER_SEED, _reverse_pull_board, maze_bfs_distance
 
 from heurlab import domains, generation
 from heurlab.domains import maze, stp
+from heurlab.evaluation import LOCKSTEP, lockstep
 from heurlab.oracle import NoiseSpec, NoisyOracle
 from heurlab.search import (
     HeuristicEvaluator,
@@ -358,6 +360,72 @@ def test_engine_matches_reference_engine():
     # The instances exercise solved and cut-off searches in every domain.
     for domain in domains.Domain:
         assert {(domain, Status.SOLUTION_FOUND), (domain, Status.LIMIT_EXCEEDED)} <= seen
+
+
+class PairedEvaluator(HeuristicEvaluator):
+    """Batches any per-instance evaluator across instances: each run of rows
+    from one instance in an ``evaluate_pairs`` call goes to that instance's
+    own evaluator and is logged under the instance as (state keys, gs)."""
+
+    batch_key = "paired"
+
+    def __init__(self, make, cacheable):
+        self.make = make  # instance -> evaluator
+        self.cacheable = cacheable
+        self.inner = {}
+        self.calls = {}
+
+    def evaluate_pairs(self, states, instances, gs):
+        values = []
+        for _, run in groupby(zip(states, instances, gs), key=lambda row: id(row[1])):
+            batch, (inst, *_), depths = zip(*run)
+            self.calls.setdefault(id(inst), []).append(([domains.state_key(s) for s in batch], list(depths)))
+            if id(inst) not in self.inner:
+                self.inner[id(inst)] = self.make(inst)
+            evaluator = self.inner[id(inst)]
+            values += evaluator.evaluate_batch(list(batch), inst, list(depths))
+        return values
+
+
+def test_lockstep_matches_reference_engine_search_by_search():
+    # Every search driven in lockstep, on all three domains at once, sees the
+    # requests and values it would see alone: same results and, per search,
+    # the same sequence of non-empty evaluation requests. There are more
+    # instances than LOCKSTEP, so finished searches hand their places on.
+    instances = _random_instances()
+    assert len(instances) > LOCKSTEP
+    makers = {
+        "quick": (lambda inst: QuickHeuristic(), True),
+        "hash_scaled_quick": (lambda inst: HashScaledQuick(), True),
+        "quick_uncached": (lambda inst: QuickHeuristic(), False),
+    }
+    for name, (make, cacheable) in makers.items():
+        for tie_break in TieBreak:
+            for limit in (None, SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25)):
+                subset = [inst for inst in instances if limit is not None or inst.domain is domains.Domain.MAZE]
+                wanted = []
+                for inst in subset:
+                    theirs = RecordingEvaluator(CountingEvaluator(make(inst), cacheable))
+                    want, _ = reference_astar(inst, theirs, limit, tie_break)
+                    wanted.append((want, [c for c in theirs.calls if c[0]]))
+                paired = PairedEvaluator(make, cacheable)
+                got = lockstep(subset, paired, limit, tie_break)
+                assert len(got) == len(subset)
+                for i, (inst, (_, res), (want, requests)) in enumerate(zip(subset, got, wanted)):
+                    label = (i, name, tie_break.value, limit)
+                    assert res.status is want.status, label
+                    assert res.path == want.path, label
+                    assert res.closed_length == want.closed_length, label
+                    assert res.heuristic_calls == want.heuristic_calls, label
+                    assert paired.calls[id(inst)] == requests, label
+
+
+def test_lockstep_wall_time_limit_uses_charged_time():
+    instances = _random_instances()[:4]
+    paired = PairedEvaluator(lambda inst: QuickHeuristic(), True)
+    results = lockstep(instances, paired, SearchLimits(max_wall_time=1e-9))
+    assert [res.status for _, res in results] == [Status.LIMIT_EXCEEDED] * 4
+    assert all(res.wall_time > 0.0 for _, res in results)
 
 
 def test_uncacheable_evaluator_called_once_per_expansion_even_when_empty():
