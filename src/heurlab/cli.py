@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=unset,
                    help="k-means cluster count of semdedup and of combined's per-instance dedup "
                         "(default: one per 200 examples it dedups, rounded up)")
-    p.add_argument("--threshold", type=float, default=unset, help="semdedup cosine cutoff")
+    p.add_argument("--threshold", type=float, default=unset,
+                   help="cosine cutoff of semdedup and of combined's per-instance dedup")
     p.set_defaults(func=cmd_sample)
 
     p = register("train", "fit a residual model on a selection")

@@ -121,7 +121,8 @@ def freeze_grid(rows: list[list[bool]]) -> tuple[tuple[bool, ...], ...]:
 def parse_grid(text: str, glyphs: str) -> tuple[tuple[tuple[bool, ...], ...], dict[str, list[Cell]]]:
     """Frozen walls ('#') of a rectangular board of ``glyphs``, and the cells
     of each glyph in row-major order. A ragged row or a glyph outside
-    ``glyphs`` raises ``ParseError`` at the first one met."""
+    ``glyphs`` raises ``ParseError`` at the first one met; so does a board of
+    one row or one column, whose position features would divide by zero."""
     lines = text.rstrip("\n").split("\n")
     width = len(lines[0])
     cells: dict[str, list[Cell]] = {glyph: [] for glyph in glyphs}
@@ -132,6 +133,8 @@ def parse_grid(text: str, glyphs: str) -> tuple[tuple[tuple[bool, ...], ...], di
             if ch not in cells:
                 raise ParseError(f"unknown glyph {ch!r}", line=r + 1, column=c + 1)
             cells[ch].append((r, c))
+    if len(lines) < 2 or width < 2:
+        raise ParseError(f"board is {len(lines)}x{width}; it needs at least 2 rows and 2 columns")
     return tuple(tuple(ch == "#" for ch in line) for line in lines), cells
 
 
@@ -156,13 +159,54 @@ def render_grid(walls, floor: str, overlay: dict[Cell, str]) -> str:
 
 
 WINDOW_RADIUS = 2
+WINDOW_SIDE = 2 * WINDOW_RADIUS + 1
+# Boards whose padded wall grid is kept: twice the boards that one round of
+# lockstep searches (evaluation.LOCKSTEP = 4) touches. A 21x21 maze's grid
+# takes 5 kB.
+PADDED_WALLS_CACHE_SIZE = 8
+
+_padded_grids: dict[int, tuple] = {}  # id(walls) -> (walls, flat grid, grid width)
 
 
-def occupancy_window(predicate, center: Cell) -> list[float]:
-    """Flattened (2r+1)^2 window around ``center``, r = ``WINDOW_RADIUS``; out-of-board counts as occupied."""
-    r0, c0 = center
+def _padded_grid(walls) -> tuple[list[float], int]:
+    """``walls`` as one flat row-major list of 1.0 (wall) and 0.0 (floor),
+    ringed by ``WINDOW_RADIUS`` rows and columns of wall, and its width.
+    The last ``PADDED_WALLS_CACHE_SIZE`` grids built are kept, keyed by the
+    identity of ``walls``; the oldest goes first."""
+    entry = _padded_grids.get(id(walls))
+    if entry is not None and entry[0] is walls:
+        return entry[1], entry[2]
+    width = len(walls[0]) + 2 * WINDOW_RADIUS
+    ring = [1.0] * WINDOW_RADIUS
+    grid = [1.0] * (width * WINDOW_RADIUS)
+    for row in walls:
+        grid += ring
+        grid += [1.0 if is_wall else 0.0 for is_wall in row]
+        grid += ring
+    grid += [1.0] * (width * WINDOW_RADIUS)
+    if len(_padded_grids) >= PADDED_WALLS_CACHE_SIZE:
+        del _padded_grids[next(iter(_padded_grids))]
+    _padded_grids[id(walls)] = (walls, grid, width)
+    return grid, width
+
+
+def wall_window(walls, center: Cell) -> list[float]:
+    """Flattened (2r+1)^2 window of walls around ``center``, r = ``WINDOW_RADIUS``,
+    row-major; out-of-board counts as wall."""
+    grid, width = _padded_grid(walls)
+    top_left = center[0] * width + center[1]  # the padding shifts the window's corner onto the cell's own index
     out = []
-    for dr in range(-WINDOW_RADIUS, WINDOW_RADIUS + 1):
-        for dc in range(-WINDOW_RADIUS, WINDOW_RADIUS + 1):
-            out.append(1.0 if predicate(r0 + dr, c0 + dc) else 0.0)
+    for start in range(top_left, top_left + WINDOW_SIDE * width, width):
+        out += grid[start:start + WINDOW_SIDE]
+    return out
+
+
+def cells_window(cells, center: Cell) -> list[float]:
+    """The same window over a board whose only occupied cells are ``cells``."""
+    r0, c0 = center
+    out = [0.0] * (WINDOW_SIDE * WINDOW_SIDE)
+    for r, c in cells:
+        dr, dc = r - r0 + WINDOW_RADIUS, c - c0 + WINDOW_RADIUS
+        if 0 <= dr < WINDOW_SIDE and 0 <= dc < WINDOW_SIDE:
+            out[dr * WINDOW_SIDE + dc] = 1.0
     return out

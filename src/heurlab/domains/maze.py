@@ -11,10 +11,10 @@ from .base import (
     ParseError,
     PuzzleInstance,
     manhattan,
-    occupancy_window,
     parse_grid,
     render_grid,
     single_cell,
+    wall_window,
 )
 
 LEGEND = "@ - player, # - wall, . - empty cell, X - goal"
@@ -24,7 +24,7 @@ GLYPHS = "#.@X"
 
 def successors(state: MazeState, instance: PuzzleInstance):
     walls = instance.board.walls
-    h, w = instance.board.height, instance.board.width
+    h, w = len(walls), len(walls[0])
     r, c = state.player
     out = []
     for action, (dr, dc) in DIRECTIONS:
@@ -109,7 +109,7 @@ def parse_ascii(text: str) -> PuzzleInstance:
 
 def feature_vector(state: MazeState, instance: PuzzleInstance) -> list[float]:
     walls = instance.board.walls
-    h, w = instance.board.height, instance.board.width
+    h, w = len(walls), len(walls[0])
     r, c = state.player
     gr, gc = instance.goal_spec
     feats = [
@@ -119,7 +119,5 @@ def feature_vector(state: MazeState, instance: PuzzleInstance) -> list[float]:
         (gr - r) / (h - 1),
         (gc - c) / (w - 1),
     ]
-    feats.extend(
-        occupancy_window(lambda rr, cc: not (0 <= rr < h and 0 <= cc < w) or walls[rr][cc], (r, c))
-    )
+    feats.extend(wall_window(walls, state.player))
     return feats

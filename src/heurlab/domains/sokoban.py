@@ -11,11 +11,12 @@ from .base import (
     PuzzleInstance,
     SokobanBoard,
     SokobanState,
+    cells_window,
     manhattan,
-    occupancy_window,
     parse_grid,
     render_grid,
     single_cell,
+    wall_window,
 )
 from .hungarian import hungarian_min_cost
 
@@ -31,22 +32,23 @@ ASSIGNMENT_CACHE_SIZE = 4096
 
 def successors(state: SokobanState, instance: PuzzleInstance):
     walls = instance.board.walls
-    h, w = instance.board.height, instance.board.width
-    boxes = frozenset(state.boxes)
+    h, w = len(walls), len(walls[0])
+    boxes = state.boxes
     pr, pc = state.player
     out = []
     for action, (dr, dc) in DIRECTIONS:
         tr, tc = pr + dr, pc + dc
         if not (0 <= tr < h and 0 <= tc < w) or walls[tr][tc]:
             continue
-        if (tr, tc) in boxes:
+        target = (tr, tc)
+        if target in boxes:
             br, bc = tr + dr, tc + dc
             if not (0 <= br < h and 0 <= bc < w) or walls[br][bc] or (br, bc) in boxes:
                 continue
-            moved = [(br, bc) if b == (tr, tc) else b for b in state.boxes]
-            out.append((action, SokobanState.make((tr, tc), moved)))
+            moved = [(br, bc) if b == target else b for b in boxes]
+            out.append((action, SokobanState.make(target, moved)))
         else:
-            out.append((action, SokobanState((tr, tc), state.boxes)))
+            out.append((action, SokobanState(target, boxes)))
     return out
 
 
@@ -66,8 +68,8 @@ def quick_heuristic(state: SokobanState, instance: PuzzleInstance) -> int:
     docks = instance.board.docks
     if state.boxes == docks:
         return 0
-    player = state.player
-    nearest = min(manhattan(player, box) for box in state.boxes)
+    pr, pc = state.player
+    nearest = min([abs(pr - br) + abs(pc - bc) for br, bc in state.boxes])
     return max(0, nearest - 1) + _assignment_cost(state.boxes, docks)
 
 
@@ -106,11 +108,11 @@ def parse_ascii(text: str) -> PuzzleInstance:
 
 
 def feature_vector(state: SokobanState, instance: PuzzleInstance) -> list[float]:
-    walls = instance.board.walls
-    docks = instance.board.docks
-    h, w = instance.board.height, instance.board.width
-    pr, pc = state.player
-    pair_dists = [manhattan(box, dock) for box in state.boxes for dock in docks]
+    walls, docks = instance.board
+    h, w = len(walls), len(walls[0])
+    player = state.player
+    pr, pc = player
+    pair_dists = [abs(br - dr) + abs(bc - dc) for br, bc in state.boxes for dr, dc in docks]
     feats = [
         float(quick_heuristic(state, instance)),
         pr / (h - 1),
@@ -119,10 +121,7 @@ def feature_vector(state: SokobanState, instance: PuzzleInstance) -> list[float]
         sum(pair_dists) / len(pair_dists),
         float(max(pair_dists)),
     ]
-    boxes = frozenset(state.boxes)
-    dock_set = frozenset(docks)
-    in_board = lambda rr, cc: 0 <= rr < h and 0 <= cc < w
-    feats.extend(occupancy_window(lambda rr, cc: not in_board(rr, cc) or walls[rr][cc], (pr, pc)))
-    feats.extend(occupancy_window(lambda rr, cc: (rr, cc) in boxes, (pr, pc)))
-    feats.extend(occupancy_window(lambda rr, cc: (rr, cc) in dock_set, (pr, pc)))
+    feats.extend(wall_window(walls, player))
+    feats.extend(cells_window(state.boxes, player))
+    feats.extend(cells_window(docks, player))
     return feats

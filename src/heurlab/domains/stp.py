@@ -7,11 +7,16 @@ prompts.
 
 from __future__ import annotations
 
+import functools
 import math
+from operator import getitem
+from typing import NamedTuple
 
 from .base import DIRECTIONS, Domain, ParseError, PuzzleInstance, StpBoard, StpState
 
 LEGEND = "0 - empty space"
+
+TABLE_WIDTHS = 8  # board widths whose lookup tables are kept
 
 
 def make_instance(tiles, width: int, id: str = "", seed: int | None = None, provenance=None) -> PuzzleInstance:
@@ -26,19 +31,43 @@ def make_instance(tiles, width: int, id: str = "", seed: int | None = None, prov
     )
 
 
+class Tables(NamedTuple):
+    """Per-width lookup tables; cells are flat row-major indexes."""
+
+    moves: tuple  # moves[blank]: (action, cell the blank moves to), in DIRECTIONS order
+    manhattan: tuple  # manhattan[cell][tile]: the tile's distance from its goal cell; 0 for the blank
+    neighbourhood: tuple  # neighbourhood[blank]: the 3x3 cells around it, row-major; -1 off the board
+
+
+@functools.lru_cache(maxsize=TABLE_WIDTHS)
+def tables(width: int) -> Tables:
+    """The tables of one board width, built on first use; ``TABLE_WIDTHS`` widths are kept."""
+    cells = [divmod(i, width) for i in range(width * width)]
+    on_board = lambda r, c: 0 <= r < width and 0 <= c < width
+    moves = tuple(
+        tuple((action, (r + dr) * width + c + dc) for action, (dr, dc) in DIRECTIONS if on_board(r + dr, c + dc))
+        for r, c in cells
+    )
+    manhattan = tuple(
+        tuple(0 if tile == 0 else abs(r - gr) + abs(c - gc) for tile, (gr, gc) in enumerate(cells))
+        for r, c in cells
+    )
+    neighbourhood = tuple(
+        tuple((r + dr) * width + c + dc if on_board(r + dr, c + dc) else -1 for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+        for r, c in cells
+    )
+    return Tables(moves, manhattan, neighbourhood)
+
+
 def successors(state: StpState, instance: PuzzleInstance):
-    w = state.width
-    z = state.tiles.index(0)
-    zr, zc = divmod(z, w)
+    tiles, w = state.tiles, state.width
+    z = tiles.index(0)
     out = []
-    for action, (dr, dc) in DIRECTIONS:
-        nr, nc = zr + dr, zc + dc
-        if not (0 <= nr < w and 0 <= nc < w):
-            continue
-        nz = nr * w + nc
-        tiles = list(state.tiles)
-        tiles[z], tiles[nz] = tiles[nz], tiles[z]
-        out.append((action, StpState(tuple(tiles), w)))
+    for action, nz in tables(w).moves[z]:
+        child = list(tiles)
+        child[z] = tiles[nz]
+        child[nz] = 0
+        out.append((action, StpState(tuple(child), w)))
     return out
 
 
@@ -49,15 +78,7 @@ def is_goal(state: StpState, instance: PuzzleInstance) -> bool:
 def quick_heuristic(state: StpState, instance: PuzzleInstance) -> int:
     """Sum of tile Manhattan displacements, blank excluded. Under the
     canonical goal, tile t belongs at cell divmod(t, w)."""
-    w = state.width
-    total = 0
-    for idx, tile in enumerate(state.tiles):
-        if tile == 0:
-            continue
-        r, c = divmod(idx, w)
-        gr, gc = divmod(tile, w)
-        total += abs(r - gr) + abs(c - gc)
-    return total
+    return sum(map(getitem, tables(state.width).manhattan, state.tiles))
 
 
 def render_ascii(instance: PuzzleInstance, state: StpState | None = None) -> str:
@@ -77,32 +98,29 @@ def parse_ascii(text: str) -> PuzzleInstance:
     width = math.isqrt(len(tiles))
     if width * width != len(tiles):
         raise ParseError(f"{len(tiles)} tiles do not form a square board")
+    if width < 2:
+        raise ParseError(f"board is {width}x{width}; it needs at least 2x2")
     if sorted(tiles) != list(range(len(tiles))):
         raise ParseError("tiles are not a permutation of 0..n-1")
     return make_instance(tiles, width)
 
 
 def feature_vector(state: StpState, instance: PuzzleInstance) -> list[float]:
-    w = state.width
+    tiles, w = state.tiles, state.width
+    table = tables(w)
     n = w * w
-    z = state.tiles.index(0)
+    z = tiles.index(0)
     zr, zc = divmod(z, w)
-    # Histogram over per-tile Manhattan displacement (0..2(w-1), blank excluded).
+    # Histogram over per-tile Manhattan displacement (0..2(w-1)); the table
+    # puts the blank at distance 0, so it is taken out of that bin.
     hist = [0.0] * (2 * w - 1)
-    for idx, tile in enumerate(state.tiles):
-        if tile == 0:
-            continue
-        r, c = divmod(idx, w)
-        gr, gc = divmod(tile, w)
-        hist[abs(r - gr) + abs(c - gc)] += 1.0
-    # Column 0 is quick_heuristic: the displacements summed from their histogram.
-    feats = [sum(d * count for d, count in enumerate(hist)), zr / (w - 1), zc / (w - 1)]
+    total = 0
+    for d in map(getitem, table.manhattan, tiles):
+        hist[d] += 1.0
+        total += d
+    hist[0] -= 1.0
+    # Column 0 is quick_heuristic.
+    feats = [float(total), zr / (w - 1), zc / (w - 1)]
     feats.extend(hist)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            rr, cc = zr + dr, zc + dc
-            if 0 <= rr < w and 0 <= cc < w:
-                feats.append(state.tiles[rr * w + cc] / (n - 1))
-            else:
-                feats.append(-1.0)
+    feats.extend(tiles[i] / (n - 1) if i >= 0 else -1.0 for i in table.neighbourhood[z])
     return feats

@@ -261,14 +261,17 @@ def stp_is_solvable(tiles: Sequence[int], width: int) -> bool:
 
 def _scramble(width: int, moves: int, rng: random.Random):
     """Random legal walk from the goal, never undoing the previous move."""
-    instance = domains.stp.make_instance(range(width * width), width)
-    state = instance.start_state
+    blank_moves = domains.stp.tables(width).moves
+    tiles = list(range(width * width))
+    z = 0
     last = None
     for _ in range(moves):
-        options = [(a, s) for a, s in domains.stp.successors(state, instance) if a != last]
-        action, state = options[rng.randrange(len(options))]
+        options = [move for move in blank_moves[z] if move[0] != last]
+        action, nz = options[rng.randrange(len(options))]
+        tiles[z], tiles[nz] = tiles[nz], 0
+        z = nz
         last = OPPOSITE_ACTION[action]
-    return state.tiles
+    return tuple(tiles)
 
 
 def generate_stp(width: int, filt: GenFilter, seed: int, id: str = "") -> PuzzleInstance:

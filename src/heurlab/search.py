@@ -161,20 +161,22 @@ def astar_steps(
     started = clock()
     idle_total = 0.0
     limits = limits or SearchLimits()
-
-    if tie_break is TieBreak.LARGER_G:
-        entry = lambda node: (node.f, -node.g, -node.seq, node)
-    else:
-        entry = lambda node: (node.f, node.g, node.seq, node)
+    max_iterations = limits.max_iterations
+    max_wall_time = limits.max_wall_time
+    sign = -1 if tie_break is TieBreak.LARGER_G else 1  # heap entries are (f, sign*g, sign*seq, node)
+    # Resolved per search, not at import, so that wrappers installed around
+    # the dispatch functions since then are the ones called.
+    successors = domains.successors
+    is_goal = domains.is_goal
 
     start = instance.start_state
-    start_key = domains.state_key(start)
+    start_key = start.key()
     values, idle = yield [start], [0]
     idle_total += idle
     heuristic_calls = 1
     root = SearchNode(start, start_key, 0, float(values[0]), None, 0)
     best: dict[bytes, SearchNode] = {start_key: root}
-    heap = [entry(root)]
+    heap = [(root.f, 0, 0, root)]
     closed = 0
     next_seq = 1
 
@@ -186,20 +188,26 @@ def astar_steps(
 
     while heap:
         node = heappop(heap)[-1]
-        if best.get(node.key) is not node:
+        if best[node.key] is not node:
             continue  # superseded by a cheaper duplicate; lazy deletion
-        if domains.is_goal(node.state, instance):
+        state = node.state
+        if is_goal(state, instance):
             return result(Status.SOLUTION_FOUND, node)
-        if limits.max_iterations is not None and closed >= limits.max_iterations:
+        if max_iterations is not None and closed >= max_iterations:
             return result(Status.LIMIT_EXCEEDED)
-        if limits.max_wall_time is not None and clock() - started - idle_total > limits.max_wall_time:
+        if max_wall_time is not None and clock() - started - idle_total > max_wall_time:
             return result(Status.LIMIT_EXCEEDED)
         closed += 1
         g_child = node.g + 1
-        children = [(s, domains.state_key(s)) for _, s in domains.successors(node.state, instance)]
-        asked = [c for c in children if c[1] not in best] if cacheable else children
+        children = []
+        asked = []
+        for _, s in successors(state, instance):
+            k = s.key()
+            children.append((s, k))
+            if not cacheable or k not in best:
+                asked.append(s)
         if asked or not cacheable:
-            values, idle = yield [s for s, _ in asked], [g_child] * len(asked)
+            values, idle = yield asked, [g_child] * len(asked)
             idle_total += idle
             values = iter(values)
             heuristic_calls += len(asked)
@@ -210,9 +218,10 @@ def astar_steps(
             if existing is not None and f >= existing.f:
                 continue
             child = SearchNode(s, k, g_child, h, node, next_seq)
-            next_seq += 1
             best[k] = child  # supersedes a frontier twin or reopens a closed state
-            heappush(heap, entry(child))
+            # child.f rather than f: the entry shares the node's float, one per node.
+            heappush(heap, (child.f, sign * g_child, sign * next_seq, child))
+            next_seq += 1
     return result(Status.FRONTIER_EXHAUSTED)
 
 

@@ -664,3 +664,22 @@ def test_hungarian_rejects_bad_input():
 def test_legends_cover_all_domains():
     assert set(domains.LEGENDS) == {Domain.MAZE, Domain.SOKOBAN, Domain.STP}
     assert domains.LEGENDS[Domain.STP] == "0 - empty space"
+
+
+@pytest.mark.parametrize(
+    "domain, text, size",
+    [
+        ("maze", "#@X#", "1x4"),
+        ("sokoban", "@\n$\n.", "3x1"),
+        ("stp", "0", "1x1"),
+    ],
+)
+def test_a_board_without_two_rows_and_columns_names_its_size_and_file(tmp_path, domain, text, size):
+    # Position features divide by height - 1 and width - 1; such a board
+    # used to parse and then fail feature extraction with a bare ZeroDivisionError.
+    (tmp_path / "manifest.jsonl").write_text(f'{{"id": "flat", "seed": 0, "domain": "{domain}"}}\n')
+    board = tmp_path / "flat.txt"
+    board.write_text(text + "\n")
+    with pytest.raises(ParseError, match=f"board is {size}") as err:
+        generation.read_split(tmp_path)
+    assert str(err.value).startswith(f"{board}: ")

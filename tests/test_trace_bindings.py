@@ -82,3 +82,27 @@ def test_every_difficulty_gate_search_is_a_traced_generation_attempt(tmp_path):
     assert tracer.counters["generation.attempts"] >= 2
     assert tracer.counters["generation.attempts"] == tracer.stats["search.astar"][0]
     assert tracer.counters["generation.accepted"] == 2
+
+
+def test_quick_and_learned_searches_call_the_traced_domain_bindings(maze_train_150, maze_pool_150):
+    # The engine looks up domains.successors when each search starts, so a
+    # tracer installed after import still sees every call. Quick A* calls no
+    # feature_vector, and the learned evaluator reads its quick heuristic
+    # from column 0 of the features, so each path is checked for its pair.
+    from heurlab import models, search
+
+    model = models.train_residual_model(maze_pool_150[:200], "knn", k=8, seed=0)
+    traced = _load_traced()
+    tracer = traced.Tracer()
+    calls = lambda name: tracer.stats[f"domains.{name}"][0]
+    try:
+        traced.install(tracer)
+        search.astar(maze_train_150[0], search.QuickHeuristic())
+        quick = {name: calls(name) for name in ("successors", "quick_heuristic", "feature_vector")}
+        evaluation.solve_all(maze_train_150[1:4], lambda inst: models.LearnedHeuristic(model))
+        learned = {name: calls(name) - quick[name] for name in quick}
+    finally:
+        tracer.restore()
+    assert quick["successors"] > 0 and quick["quick_heuristic"] > 0
+    assert learned["successors"] > 0 and learned["feature_vector"] > 0
+    assert all(calls(name) > 0 for name in quick)
