@@ -46,18 +46,6 @@ PIPELINE_ROWS = {
     "semdedup_planner": (pipeline.Strategy.COMBINED, "combined_tau"),
 }
 
-# The option flags of `sample` (by argparse dest) -> the SamplingSpec field
-# each sets; `pipeline.READS` says which strategies read that field.
-SAMPLE_OPTIONS = {
-    "tau": "tau",
-    "c_variant": "c_variant",
-    "budget": "total_budget",
-    "per_problem_m": "per_problem_m",
-    "section": "section",
-    "clusters": "n_clusters",
-    "threshold": "similarity_threshold",
-}
-
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
@@ -75,10 +63,13 @@ def _env_seed() -> int:
         raise UsageError(f"HEURLAB_SEED must be an integer, got {raw!r}") from exc
 
 
-def _limits(args) -> SearchLimits | None:
-    if args.max_iterations is None and args.max_wall_time is None:
-        return None
+def _limits(args) -> SearchLimits:
     return SearchLimits(max_iterations=args.max_iterations, max_wall_time=args.max_wall_time)
+
+
+def _require_positive(flag: str, value) -> None:
+    if not value > 0:
+        raise UsageError(f"{flag} must be positive, got {value}")
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -165,18 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=[s.value for s in pipeline.Strategy], default="uniform")
-    # SamplingSpec holds the defaults: an option left unset is absent from args.
+    # Each dest is the SamplingSpec field, which holds the default: an unset option is absent from args.
     unset = argparse.SUPPRESS
     p.add_argument("--tau", type=float, default=unset)
     p.add_argument("--c-variant", type=pipeline.CVariant, choices=[c.value for c in pipeline.CVariant], default=unset)
-    p.add_argument("--budget", type=int, default=unset, help="global selection size")
+    p.add_argument("--budget", type=int, default=unset, dest="total_budget", metavar="BUDGET", help="global selection size")
     p.add_argument("--per-problem-m", type=int, default=unset, help="per-instance size (alternative to --budget)")
     p.add_argument("--section", default=unset,
                    help="section_split selector: all, initial, middle, end or ~<section> for the other two")
-    p.add_argument("--clusters", type=int, default=unset,
+    p.add_argument("--clusters", type=int, default=unset, dest="n_clusters", metavar="CLUSTERS",
                    help="k-means cluster count of semdedup and of combined's per-instance dedup "
                         "(default: one per 200 examples it dedups, rounded up)")
-    p.add_argument("--threshold", type=float, default=unset,
+    p.add_argument("--threshold", type=float, default=unset, dest="similarity_threshold", metavar="THRESHOLD",
                    help="cosine cutoff of semdedup and of combined's per-instance dedup")
     p.set_defaults(func=cmd_sample)
 
@@ -363,6 +354,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_study(args) -> int:
+    _require_positive("--noise-seeds", args.noise_seeds)
     instances = generation.read_split(args.instances)
     noise_seeds = [derive_seed(args.seed, "noise", i) for i in range(args.noise_seeds)]
     rows, details = oracle.run_oracle_experiment(
@@ -402,9 +394,9 @@ def cmd_extract(args) -> int:
 
 def cmd_sample(args) -> int:
     strategy = pipeline.Strategy(args.strategy)
-    given = {field: getattr(args, dest) for dest, field in SAMPLE_OPTIONS.items() if hasattr(args, dest)}
-    ignored = [f"--{dest.replace('_', '-')}" for dest, field in SAMPLE_OPTIONS.items()
-               if field in given and field not in pipeline.READS[strategy]]
+    options = [a for a in _SUBPARSERS["sample"]._actions if a.default is argparse.SUPPRESS and hasattr(args, a.dest)]
+    given = {a.dest: getattr(args, a.dest) for a in options}
+    ignored = [a.option_strings[0] for a in options if a.dest not in pipeline.READS[strategy]]
     if ignored:
         raise UsageError(f"--strategy {strategy.value} does not read {', '.join(ignored)}")
     if "total_budget" in given and "per_problem_m" in given:
@@ -418,6 +410,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_positive("--k", args.k)
     examples = pipeline.read_pool(args.pool)
     model = models.train_residual_model(
         examples, kind=args.model_kind, k=args.k, seed=args.seed, manifest={"source": str(args.pool)}
@@ -430,6 +423,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_positive("--eval-seeds", args.eval_seeds)
     instances = generation.read_split(args.instances)
     factory = _evaluator_factory(args, instances)
     limits = _limits(args)
@@ -479,6 +473,8 @@ def _pipeline_config(args, domain: Domain) -> dict:
     unknown = [s for s in strategies if s not in PIPELINE_ROWS]
     if unknown:
         raise UsageError(f"unknown strategies {unknown}; choose from {list(PIPELINE_ROWS)}")
+    for flag, value in (("--budget", budget), ("--tau", tau), ("--combined-tau", combined_tau), ("--k", args.k)):
+        _require_positive(flag, value)
     return {
         "domain": domain.value,
         "scale": args.scale,

@@ -43,11 +43,6 @@ def quick_heuristic(state, instance: PuzzleInstance) -> int:
     return _MODULES[instance.domain].quick_heuristic(state, instance)
 
 
-def state_key(state) -> bytes:
-    """Canonical byte key; equal states always map to equal keys."""
-    return state.key()
-
-
 def feature_vector(state, instance: PuzzleInstance) -> list[float]:
     """Fixed-length real vector per (domain, board size), for models and dedup."""
     return _MODULES[instance.domain].feature_vector(state, instance)
@@ -83,7 +78,6 @@ __all__ = [
     "successors",
     "is_goal",
     "quick_heuristic",
-    "state_key",
     "feature_vector",
     "render_ascii",
     "parse_ascii",

@@ -1,4 +1,4 @@
-"""Shared domain types: puzzle instances, states, boards, parse errors."""
+"""Shared domain types: puzzle instances, states (equal states have equal ``key()`` bytes), boards, parse errors."""
 
 from __future__ import annotations
 

@@ -78,18 +78,18 @@ def _solve_task(task):
 def lockstep(
     instances: Sequence[PuzzleInstance],
     evaluator: HeuristicEvaluator,
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
 ) -> list[tuple[str, SearchResult]]:
     """Solve ``instances`` with up to ``LOCKSTEP`` searches at a time: each
-    round sends every pending request to one ``evaluator.evaluate_pairs``
-    call, and each search is charged the call's seconds in proportion to
-    its rows; the rest of its wait is idle time spent on other searches. A
-    finished search's place goes to the next instance. Returns (instance
-    id, result) pairs in instance order."""
+    round sends the states of every pending request, without their depths,
+    to one ``evaluator.evaluate_pairs`` call, and each search is charged the
+    call's seconds in proportion to its rows; the rest of its wait is idle
+    time spent on other searches. A finished search's place goes to the next
+    instance. Returns (instance id, result) pairs in instance order."""
     clock = time.perf_counter
     queue = iter(enumerate(instances))
-    active = []  # per live search: (position, instance, engine, (states, gs) requested, time of the request)
+    active = []  # per live search: (position, instance, engine, (states, g) requested, time of the request)
     results = [None] * len(instances)
     while True:
         for at, inst in islice(queue, LOCKSTEP - len(active)):
@@ -99,9 +99,8 @@ def lockstep(
             return [(inst.id, result) for inst, result in zip(instances, results)]
         states = [s for *_, (batch, _), _ in active for s in batch]
         owners = [inst for _, inst, _, (batch, _), _ in active for _ in batch]
-        gs = [g for *_, (_, depths), _ in active for g in depths]
         t = clock()
-        values = evaluator.evaluate_pairs(states, owners, gs) if states else []
+        values = evaluator.evaluate_pairs(states, owners) if states else []
         per_row = (clock() - t) / len(states) if states else 0.0
         row = 0
         live = []
@@ -123,7 +122,7 @@ def _lockstep_task(task):
 def solve_all(
     instances: Sequence[PuzzleInstance],
     evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator],
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
     jobs: int = 1,
 ) -> dict[str, SearchResult]:
@@ -148,7 +147,7 @@ def solve_all(
 
 def compute_references(
     instances: Sequence[PuzzleInstance],
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     jobs: int = 1,
 ) -> tuple[dict[str, ReferenceSolution], list[str]]:
     """Quick-heuristic reference solves, with the default larger-g tie-break.
@@ -239,7 +238,7 @@ def compute_metrics(results: Mapping[str, SearchResult], references: Mapping[str
 
 
 def solve_and_score(instances: Sequence[PuzzleInstance], references: Mapping[str, ReferenceSolution],
-                    evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator], limits: SearchLimits | None,
+                    evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator], limits: SearchLimits,
                     tie_break: TieBreak, jobs: int) -> MetricsReport:
     """Solve every instance once and score the run against the references."""
     results = solve_all(instances, evaluator_for, limits=limits, tie_break=tie_break, jobs=jobs)
@@ -249,6 +248,8 @@ def solve_and_score(instances: Sequence[PuzzleInstance], references: Mapping[str
 def mean_over_reports(reports: Sequence[MetricsReport]) -> dict:
     """Mean and population std of each of ``RUN_METRICS`` across reports,
     keyed ``<metric>`` and ``<metric>_std``."""
+    if not reports:
+        raise ValueError("mean_over_reports got no reports to average")
     aggregate = {}
     for key in RUN_METRICS:
         values = [getattr(report, key) for report in reports]
@@ -271,7 +272,7 @@ def run_experiment(
     references: Mapping[str, ReferenceSolution],
     evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator],
     seeds: Sequence[int],
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
     jobs: int = 1,
     config: dict | None = None,

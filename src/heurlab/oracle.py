@@ -95,26 +95,27 @@ class NoisyOracle(HeuristicEvaluator):
     Noise is a pure function of (noise_seed, state key), so a state keeps the
     same perturbed value across re-encounters and runs reproduce exactly. The
     per_query switch instead redraws on every evaluation, which also disables
-    the engine's per-state reuse. Section classification uses the querying
-    node's g against the instance's optimal plan length.
+    the engine's per-state reuse. Section classification uses the request's
+    one depth g against the instance's optimal plan length; as the value
+    depends on depth, the oracle does not batch across instances.
     """
 
     def __init__(self, instance: PuzzleInstance, spec: NoiseSpec, distances: dict[bytes, int] | None = None):
         self.spec = spec
         self.distances = distances if distances is not None else oracle_distances(instance)
-        start_key = domains.state_key(instance.start_state)
+        start_key = instance.start_state.key()
         if start_key not in self.distances:
             raise ValueError("start state is not connected to the goal")
         self.plan_len = self.distances[start_key]
         self.cacheable = not spec.per_query
         self._draws = 0
 
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         spec = self.spec
-        exact_everywhere = spec.oracle_sections == ALL_SECTIONS
+        exact = spec.oracle_sections == ALL_SECTIONS or section_of(g, self.plan_len) in spec.oracle_sections
         out = []
-        for state, g in zip(states, gs):
-            key = domains.state_key(state)
+        for state in states:
+            key = state.key()
             d = self.distances.get(key)
             if d is None:
                 # A state the table lacks (a pocket that wall breaking cut off)
@@ -124,7 +125,7 @@ class NoisyOracle(HeuristicEvaluator):
                 # the table.
                 out.append(float(domains.quick_heuristic(state, instance)))
                 continue
-            if exact_everywhere or section_of(g, self.plan_len) in spec.oracle_sections:
+            if exact:
                 out.append(float(d))
                 continue
             draw = 0
@@ -146,7 +147,7 @@ def run_oracle_experiment(
     instances: Sequence[PuzzleInstance],
     sigmas: Iterable[float],
     seeds: Iterable[int],
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     clamp_at_zero: bool = True,
     per_query: bool = False,
     jobs: int = 1,

@@ -108,7 +108,7 @@ def extract_pool(solved: Iterable[tuple[PuzzleInstance, SearchResult]]) -> tuple
             examples.append(
                 TrainingExample(
                     instance_id=instance.id,
-                    state_key=domains.state_key(state),
+                    state_key=state.key(),
                     text=domains.render_ascii(instance, state),
                     quick_h=quick_h,
                     d_star=d_star,

@@ -16,16 +16,17 @@ evaluated state enters it and never leaves, so a cacheable evaluator is asked
 only about states not yet in it.
 
 The engine is one generator, ``astar_steps``, which yields each evaluation
-request and is sent the values back. ``astar`` drives one search with one
-``evaluate_batch`` per request; ``evaluation.solve_all`` drives several in
-lockstep when the evaluator batches across instances, with one call per
-round for all their requests. Time attribution: a search's ``wall_time``
-(and so its ITR) is the ``perf_counter`` time of its own steps plus its
-share of each evaluation call, split by the rows it asked for; a search
-driven alone is charged each call in full. Each request's values come back
-with the seconds since the request that went to other searches, and the
-engine leaves those out. ``SearchLimits.max_wall_time`` compares against
-that same charged time.
+request ``(states, g)``, one node's children and the depth they share (the
+root alone at 0), and is sent the values back. ``astar`` drives one search
+with one ``evaluate_batch`` per request; ``evaluation.solve_all`` drives
+several in lockstep when the evaluator batches across instances, with one
+``evaluate_pairs`` call per round whose rows carry no depth. Time
+attribution: a search's ``wall_time`` (and so its ITR) is the
+``perf_counter`` time of its own steps plus its share of each evaluation
+call, split by the rows it asked for; a search driven alone is charged each
+call in full. Each request's values come back with the seconds since the
+request that went to other searches, and the engine leaves those out.
+``SearchLimits.max_wall_time`` compares against that same charged time.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class TieBreak(Enum):
     SMALLER_G = "smaller_g"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchLimits:
     max_iterations: int | None = None  # cap on closed_length
     max_wall_time: float | None = None  # seconds
@@ -97,7 +98,9 @@ class SearchResult:
 
 
 class HeuristicEvaluator:
-    """Batch heuristic interface consumed by the engine.
+    """Batch heuristic interface consumed by the engine: one
+    ``evaluate_batch(states, instance, g)`` per request, whose states share
+    the depth ``g``.
 
     ``cacheable`` lets the engine reuse a state's value within one search, so
     each distinct state is evaluated at most once; evaluators whose value is
@@ -105,29 +108,31 @@ class HeuristicEvaluator:
 
     An evaluator that can batch across instances sets ``batch_key`` to a
     hashable value, equal for evaluators whose ``evaluate_pairs`` give the
-    same values, and implements ``evaluate_pairs``: state ``i`` of instance
-    ``i`` at depth ``gs[i]``, with each value independent of the other rows.
+    same values, and implements ``evaluate_pairs(states, instances)``: state
+    ``i`` of instance ``i``, with each value independent of the other rows.
+    The rows carry no depth, so an evaluator whose value depends on depth
+    does not batch across instances.
     """
 
     cacheable: bool = True
     batch_key = None
 
-    def evaluate_batch(self, states, instance, gs) -> list[float]:
+    def evaluate_batch(self, states, instance, g) -> list[float]:
         raise NotImplementedError
 
-    def evaluate_pairs(self, states, instances, gs) -> list[float]:
+    def evaluate_pairs(self, states, instances) -> list[float]:
         raise NotImplementedError
 
 
 class QuickHeuristic(HeuristicEvaluator):
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         return [float(domains.quick_heuristic(s, instance)) for s in states]
 
 
 class ZeroHeuristic(HeuristicEvaluator):
     """Degenerates A* to uniform-cost search; useful as an informativeness floor."""
 
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         return [0.0] * len(states)
 
 
@@ -144,13 +149,14 @@ def reconstruct_path(node: SearchNode) -> list:
 def astar_steps(
     instance: domains.PuzzleInstance,
     cacheable: bool = True,
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
-) -> Generator[tuple[list, list], tuple[Sequence[float], float], SearchResult]:
+) -> Generator[tuple[list, int], tuple[Sequence[float], float], SearchResult]:
     """The search engine as a generator: it yields each evaluation request
-    ``(states, gs)`` and is sent back ``(values, idle)``, the states'
-    heuristic values and the seconds since the request that went to other
-    searches. It returns the ``SearchResult`` (as ``StopIteration.value``).
+    ``(states, g)``, the states and the depth they share, and is sent back
+    ``(values, idle)``, the states' heuristic values and the seconds since
+    the request that went to other searches. It returns the
+    ``SearchResult`` (as ``StopIteration.value``).
 
     A cacheable evaluator is asked at most once per expansion, only about
     children not yet in the node table, and not at all when every child is
@@ -160,7 +166,6 @@ def astar_steps(
     clock = time.perf_counter
     started = clock()
     idle_total = 0.0
-    limits = limits or SearchLimits()
     max_iterations = limits.max_iterations
     max_wall_time = limits.max_wall_time
     sign = -1 if tie_break is TieBreak.LARGER_G else 1  # heap entries are (f, sign*g, sign*seq, node)
@@ -171,7 +176,7 @@ def astar_steps(
 
     start = instance.start_state
     start_key = start.key()
-    values, idle = yield [start], [0]
+    values, idle = yield [start], 0
     idle_total += idle
     heuristic_calls = 1
     root = SearchNode(start, start_key, 0, float(values[0]), None, 0)
@@ -207,7 +212,7 @@ def astar_steps(
             if not cacheable or k not in best:
                 asked.append(s)
         if asked or not cacheable:
-            values, idle = yield asked, [g_child] * len(asked)
+            values, idle = yield asked, g_child
             idle_total += idle
             values = iter(values)
             heuristic_calls += len(asked)
@@ -228,17 +233,17 @@ def astar_steps(
 def astar(
     instance: domains.PuzzleInstance,
     heuristic: HeuristicEvaluator,
-    limits: SearchLimits | None = None,
+    limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
 ) -> SearchResult:
     """Solve ``instance``; exhaustion and limits are ordinary results, not
     errors. Drives ``astar_steps`` with one ``evaluate_batch`` per request;
     no time goes to another search, so every request is sent back with no
     idle seconds."""
-    steps = astar_steps(instance, getattr(heuristic, "cacheable", True), limits, tie_break)
+    steps = astar_steps(instance, heuristic.cacheable, limits, tie_break)
     try:
-        states, gs = next(steps)
+        states, g = next(steps)
         while True:
-            states, gs = steps.send((heuristic.evaluate_batch(states, instance, gs), 0.0))
+            states, g = steps.send((heuristic.evaluate_batch(states, instance, g), 0.0))
     except StopIteration as done:
         return done.value

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from heurlab import cli, generation, models, pipeline, util
-from heurlab.domains import stp
+from heurlab.domains import Domain, stp
 from heurlab.util import atomic_write, read_jsonl
 
 from test_acceptance import _normalized
@@ -354,12 +354,12 @@ def test_sample_section_split_needs_section(pool_file, tmp_path, capsys):
 
 
 def test_every_sample_option_sets_a_field_some_strategy_reads():
+    # Each option's dest is the SamplingSpec field it sets.
     cli.build_parser()
     own = {"help", "config", "seed", "jobs", "pool", "out", "strategy"}
     options = [a.dest for a in cli._SUBPARSERS["sample"]._actions if a.dest not in own]
-    assert sorted(options) == sorted(cli.SAMPLE_OPTIONS)
     read = set().union(*pipeline.READS.values())
-    assert set(cli.SAMPLE_OPTIONS.values()) == read
+    assert sorted(options) == sorted(read)
     assert read <= {f.name for f in dataclasses.fields(pipeline.SamplingSpec)}
 
 
@@ -402,6 +402,14 @@ def test_combined_honours_threshold_and_clusters(pool_file, tmp_path):
     assert select("--clusters", "4") != default
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_train_refuses_a_k_below_one(pool_file, tmp_path, capsys, k):
+    out = tmp_path / "m.json"
+    assert run_cli(["train", "--pool", pool_file, "--out", out, "--k", k]) == 2
+    assert f"usage error: --k must be positive, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_prints_fit_quality(pool_file, tmp_path, capsys):
     out = tmp_path / "m.json"
     assert run_cli(["train", "--pool", pool_file, "--out", out, "--seed", "5"]) == 0
@@ -430,6 +438,15 @@ def test_eval_writes_report_and_reuses_references(split_dir, model_file, tmp_pat
     before = refs.read_bytes()
     assert run_cli(argv) == 0
     assert refs.read_bytes() == before
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_eval_refuses_no_timing_repeats(split_dir, model_file, tmp_path, capsys, repeats):
+    out = tmp_path / "report"
+    argv = ["eval", "--instances", split_dir, "--out", out, "--model", model_file, "--eval-seeds", repeats]
+    assert run_cli(argv) == 2
+    assert f"usage error: --eval-seeds must be positive, got {repeats}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_prompts_matches_pool(pool_file, tmp_path, capsys):
@@ -466,6 +483,15 @@ def test_oracle_study_table_and_assert_flag(split_dir, tmp_path, capsys):
     # an unachievable margin trips the ordering assertion
     assert run_cli(argv + ["--assert-ordering", "--margin", "99", "--out", tmp_path / "s2"]) == 1
     assert "ordering violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_oracle_study_refuses_no_noise_seeds(split_dir, tmp_path, capsys, repeats):
+    out = tmp_path / "study"
+    argv = ["oracle-study", "--instances", split_dir, "--out", out, "--sigmas", "4.0", "--noise-seeds", repeats]
+    assert run_cli(argv) == 2
+    assert f"usage error: --noise-seeds must be positive, got {repeats}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +607,29 @@ def test_pipeline_builds_resumes_and_guards_config(tmp_path, capsys):
     # changed settings must not silently mix with saved artifacts
     assert run_cli(argv + ["--budget", "999"]) == 3
     assert "different configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget", "-5"), ("--budget", "0"), ("--tau", "0"), ("--tau", "nan"),
+    ("--combined-tau", "-1.5"), ("--k", "0"),
+])
+def test_pipeline_refuses_a_bad_config_before_writing_it(tmp_path, capsys, flag, value):
+    wd = tmp_path / "wd"
+    argv = ["pipeline", "--workdir", wd, "--scale", "0.01", "--strategies", "uniform", flag, value]
+    assert run_cli(argv) == 2
+    assert f"usage error: {flag} must be positive" in capsys.readouterr().err
+    assert not (wd / "config.json").exists()
+
+
+def test_pipeline_config_bytes_are_unchanged(tmp_path):
+    # A valid configuration is written as before the checks were added.
+    args = cli.build_parser().parse_args(["pipeline", "--workdir", str(tmp_path), "--seed", "7", "--tau", "1.5"])
+    cfg = cli._pipeline_config(args, Domain.MAZE)
+    assert json.dumps(cfg) == (
+        '{"domain": "maze", "scale": 0.1, "seed": 7, "strategies": ["full_data", "uniform", "planner_aware", '
+        '"semdedup", "semdedup_planner"], "budget": 12000, "tau": 1.5, "combined_tau": 2.0, "model_kind": "knn", '
+        '"k": 8, "max_iterations": null, "max_wall_time": null}'
+    )
 
 
 def test_atomic_write_keeps_the_old_file_when_the_writer_fails(tmp_path):

@@ -11,6 +11,7 @@ from heurlab.evaluation import (
     ReferenceSolution,
     compute_metrics,
     compute_references,
+    mean_over_reports,
     read_rows_csv,
     reference_from_record,
     reference_records,
@@ -101,6 +102,11 @@ def test_empty_inputs_mean_zero():
     assert report.swc == 0.0
     assert report.optimal_pct == 0.0
     assert report.n_total == 0
+
+
+def test_mean_over_no_reports_is_refused():
+    with pytest.raises(ValueError, match="no reports"):
+        mean_over_reports([])
 
 
 def test_compute_references_match_bfs(maze_train_150):

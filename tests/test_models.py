@@ -212,7 +212,7 @@ def test_learned_heuristic_adds_floored_residual(maze_pool_150, maze_train_150):
     inst = maze_train_150[0]
     evaluator = LearnedHeuristic(model)
     state = inst.start_state
-    (value,) = evaluator.evaluate_batch([state], inst, [0])
+    (value,) = evaluator.evaluate_batch([state], inst, 0)
     quick = float(domains.quick_heuristic(state, inst))
     feats = np.array([domains.feature_vector(state, inst)])
     residual = float(predict_batch(model, feats)[0])
@@ -233,11 +233,11 @@ def test_floor_flag_controls_negative_residuals():
     state = inst.start_state
     quick = float(domains.quick_heuristic(state, inst))
     floored = LearnedHeuristic(model)
-    assert floored.evaluate_batch([state], inst, [0]) == [quick]
+    assert floored.evaluate_batch([state], inst, 0) == [quick]
     raw = LearnedHeuristic(model, floor_at_zero=False)
-    assert raw.evaluate_batch([state], inst, [0]) == [quick - 3.0]
+    assert raw.evaluate_batch([state], inst, 0) == [quick - 3.0]
     rounded = LearnedHeuristic(_half_bias_model(), round_predictions=True)
-    assert rounded.evaluate_batch([state], inst, [0]) == [quick]  # 0.4 rounds to 0
+    assert rounded.evaluate_batch([state], inst, 0) == [quick]  # 0.4 rounds to 0
 
 
 def _tiny_maze():
@@ -269,7 +269,7 @@ def test_goal_state_keeps_zero_heuristic():
         bias=0.0,
     )
     evaluator = LearnedHeuristic(model)
-    assert evaluator.evaluate_batch([goal_state], inst, [3]) == [0.0]
+    assert evaluator.evaluate_batch([goal_state], inst, 3) == [0.0]
 
 
 def test_cache_batches_one_model_call_per_evaluate(maze_train_150, maze_pool_150, monkeypatch):
@@ -286,11 +286,11 @@ def test_cache_batches_one_model_call_per_evaluate(maze_train_150, maze_pool_150
 
     monkeypatch.setattr(models, "predict_batch", counting)
     states = [s for _, s in domains.successors(inst.start_state, inst)]
-    first = evaluator.evaluate_batch(states, inst, [1] * len(states))
+    first = evaluator.evaluate_batch(states, inst, 1)
     assert calls == [len(states)]
-    assert evaluator.evaluate_batch(states, inst, [1] * len(states)) == first
+    assert evaluator.evaluate_batch(states, inst, 1) == first
     assert calls == [len(states)] * 2
-    assert evaluator.evaluate_batch([], inst, []) == []
+    assert evaluator.evaluate_batch([], inst, 1) == []
     assert calls == [len(states)] * 2
 
 
@@ -349,7 +349,7 @@ def test_learned_batch_matches_per_state_formula(sampled_states, floor, rounding
         inst = walk[0][1]
         for i in range(0, len(walk), 4):
             batch = [s for s, _ in walk[i : i + 4]]
-            values.extend(evaluator.evaluate_batch(batch, inst, [0] * len(batch)))
+            values.extend(evaluator.evaluate_batch(batch, inst, 0))
             # The same batch through predict_batch: a linear model's GEMV may
             # round differently for another number of rows.
             preds = predict_batch(model, [domains.feature_vector(s, inst) for s in batch])

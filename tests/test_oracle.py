@@ -79,7 +79,7 @@ def test_noise_spec_validation():
 def test_exact_oracle_reports_true_distance(maze_train_150):
     inst = maze_train_150[0]
     oracle = exact_oracle(inst)
-    start_h = oracle.evaluate_batch([inst.start_state], inst, [0])[0]
+    start_h = oracle.evaluate_batch([inst.start_state], inst, 0)[0]
     assert start_h == float(inst.provenance["plan_length"])
     result = astar(inst, oracle)
     assert result.solved
@@ -92,9 +92,9 @@ def test_sigma_zero_equals_exact(maze_train_150):
     noisy = NoisyOracle(inst, NoiseSpec(sigma=0.0, oracle_sections="end", noise_seed=3), table)
     states = [MazeState((r, c)) for r in range(inst.board.height) for c in range(inst.board.width)
               if MazeState((r, c)).key() in table][:50]
-    gs = list(range(len(states)))
-    exact_vals = exact_oracle(inst, table).evaluate_batch(states, inst, gs)
-    assert noisy.evaluate_batch(states, inst, gs) == exact_vals
+    exact = exact_oracle(inst, table)
+    for g in range(len(states)):
+        assert noisy.evaluate_batch(states, inst, g) == exact.evaluate_batch(states, inst, g), g
 
 
 def test_noise_is_deterministic_per_state(maze_train_150):
@@ -104,12 +104,12 @@ def test_noise_is_deterministic_per_state(maze_train_150):
     a = NoisyOracle(inst, spec, table)
     b = NoisyOracle(inst, spec, table)
     states = _sample_states(inst, table, 40)
-    gs = [inst.provenance["plan_length"] - 1] * len(states)  # deep in the end section
-    first = a.evaluate_batch(states, inst, gs)
-    assert a.evaluate_batch(states, inst, gs) == first
-    assert b.evaluate_batch(states, inst, gs) == first
+    g = inst.provenance["plan_length"] - 1  # deep in the end section
+    first = a.evaluate_batch(states, inst, g)
+    assert a.evaluate_batch(states, inst, g) == first
+    assert b.evaluate_batch(states, inst, g) == first
     different_seed = NoisyOracle(inst, NoiseSpec(sigma=4.0, oracle_sections="initial", noise_seed=8), table)
-    assert different_seed.evaluate_batch(states, inst, gs) != first
+    assert different_seed.evaluate_batch(states, inst, g) != first
 
 
 def _sample_states(inst, table, n):
@@ -124,14 +124,14 @@ def _sample_states(inst, table, n):
 def test_noise_respects_exact_sections(maze_train_150):
     inst = maze_train_150[3]
     table = oracle_distances(inst)
-    plan_len = table[domains.state_key(inst.start_state)]
+    plan_len = table[inst.start_state.key()]
     oracle = NoisyOracle(inst, NoiseSpec(sigma=50.0, oracle_sections="initial", noise_seed=1), table)
     states = _sample_states(inst, table, 30)
     # Queried at g=0 every state sits in the initial section: exact values.
-    exact = [float(table[domains.state_key(s)]) for s in states]
-    assert oracle.evaluate_batch(states, inst, [0] * len(states)) == exact
+    exact = [float(table[s.key()]) for s in states]
+    assert oracle.evaluate_batch(states, inst, 0) == exact
     # Queried deep in the plan the same states are perturbed.
-    noisy = oracle.evaluate_batch(states, inst, [plan_len] * len(states))
+    noisy = oracle.evaluate_batch(states, inst, plan_len)
     assert noisy != exact
 
 
@@ -139,14 +139,14 @@ def test_clamping_keeps_values_nonnegative(maze_train_150):
     inst = maze_train_150[4]
     table = oracle_distances(inst)
     states = _sample_states(inst, table, 200)
-    gs = [inst.provenance["plan_length"]] * len(states)
+    g = inst.provenance["plan_length"]
     clamped = NoisyOracle(inst, NoiseSpec(sigma=100.0, oracle_sections="initial", noise_seed=2), table)
-    values = clamped.evaluate_batch(states, inst, gs)
+    values = clamped.evaluate_batch(states, inst, g)
     assert all(v >= 0.0 for v in values)
     free = NoisyOracle(
         inst, NoiseSpec(sigma=100.0, oracle_sections="initial", noise_seed=2, clamp_at_zero=False), table
     )
-    assert any(v < 0.0 for v in free.evaluate_batch(states, inst, gs))
+    assert any(v < 0.0 for v in free.evaluate_batch(states, inst, g))
 
 
 def test_per_query_redraws_and_disables_caching(maze_train_150):
@@ -156,8 +156,8 @@ def test_per_query_redraws_and_disables_caching(maze_train_150):
     oracle = NoisyOracle(inst, spec, table)
     assert oracle.cacheable is False
     states = _sample_states(inst, table, 10)
-    gs = [inst.provenance["plan_length"]] * len(states)
-    assert oracle.evaluate_batch(states, inst, gs) != oracle.evaluate_batch(states, inst, gs)
+    g = inst.provenance["plan_length"]
+    assert oracle.evaluate_batch(states, inst, g) != oracle.evaluate_batch(states, inst, g)
     fixed = NoisyOracle(inst, NoiseSpec(sigma=5.0, oracle_sections="initial", noise_seed=4), table)
     assert fixed.cacheable is True
 
@@ -173,7 +173,7 @@ def test_unreachable_states_fall_back_to_quick_heuristic():
     inst = maze.parse_ascii(POCKET)
     oracle = exact_oracle(inst)
     pocket_state = MazeState((3, 1))
-    value = oracle.evaluate_batch([pocket_state], inst, [0])[0]
+    value = oracle.evaluate_batch([pocket_state], inst, 0)[0]
     assert value == float(domains.quick_heuristic(pocket_state, inst))
 
 

@@ -81,7 +81,7 @@ def test_extract_pool_fields(maze_train_150):
             assert len(ex.feature_vector) == 30
             # The rendered text reproduces the path state.
             reparsed = maze.parse_ascii(ex.text)
-            assert domains.state_key(reparsed.start_state) == ex.state_key
+            assert reparsed.start_state.key() == ex.state_key
 
 
 def test_extract_pool_counts_unsolved(maze_train_150):

@@ -43,9 +43,9 @@ class CountingEvaluator(HeuristicEvaluator):
         self.cacheable = cacheable
         self.batches = 0
 
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         self.batches += 1
-        return self.inner.evaluate_batch(states, instance, gs)
+        return self.inner.evaluate_batch(states, instance, g)
 
 
 class HashNoiseHeuristic(HeuristicEvaluator):
@@ -55,10 +55,10 @@ class HashNoiseHeuristic(HeuristicEvaluator):
         dist = maze_bfs_distance(instance, start=instance.goal_spec)
         self.true = {domains.MazeState(cell).key(): d for cell, d in dist.items()}
 
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         out = []
         for s in states:
-            key = domains.state_key(s)
+            key = s.key()
             frac = int.from_bytes(hashlib.blake2b(key, digest_size=4).digest(), "big") / 2**32
             out.append(frac * self.true.get(key, 0))
         return out
@@ -164,7 +164,7 @@ class ExactMazeHeuristic(HeuristicEvaluator):
         dist = maze_bfs_distance(instance, start=instance.goal_spec)
         self.table = {cell: d for cell, d in dist.items()}
 
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         return [float(self.table[s.player]) for s in states]
 
 
@@ -224,12 +224,12 @@ def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_
         if use_cache:
             miss = [(s, k) for s, k in zip(states, keys) if k not in h_seen]
             if miss:
-                values = heuristic.evaluate_batch([s for s, _ in miss], instance, [g] * len(miss))
+                values = heuristic.evaluate_batch([s for s, _ in miss], instance, g)
                 heuristic_calls += len(miss)
                 for (_, k), v in zip(miss, values):
                     h_seen[k] = float(v)
             return [h_seen[k] for k in keys]
-        values = heuristic.evaluate_batch(list(states), instance, [g] * len(states))
+        values = heuristic.evaluate_batch(list(states), instance, g)
         heuristic_calls += len(states)
         return [float(v) for v in values]
 
@@ -239,7 +239,7 @@ def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_
         entry = lambda node: (node.f, node.g, node.seq, node)
 
     start = instance.start_state
-    start_key = domains.state_key(start)
+    start_key = start.key()
     h0 = evaluate([start], [start_key], 0)[0]
     root = SearchNode(start, start_key, 0, h0, None, 0)
     best = {start_key: root}
@@ -269,7 +269,7 @@ def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_
         expansions += 1
         g_child = node.g + 1
         states = [s for _, s in domains.successors(node.state, instance)]
-        keys = [domains.state_key(s) for s in states]
+        keys = [s.key() for s in states]
         hs = evaluate(states, keys, g_child)
         for s, k, h in zip(states, keys, hs):
             f = g_child + h
@@ -284,26 +284,26 @@ def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_
 
 
 class RecordingEvaluator(HeuristicEvaluator):
-    """Forwards to another evaluator and logs each call's state keys and gs."""
+    """Forwards to another evaluator and logs each call's state keys and depth."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.cacheable = getattr(inner, "cacheable", True)
+        self.cacheable = inner.cacheable
         self.calls = []
 
-    def evaluate_batch(self, states, instance, gs):
-        self.calls.append(([domains.state_key(s) for s in states], list(gs)))
-        return self.inner.evaluate_batch(states, instance, gs)
+    def evaluate_batch(self, states, instance, g):
+        self.calls.append(([s.key() for s in states], g))
+        return self.inner.evaluate_batch(states, instance, g)
 
 
 class HashScaledQuick(HeuristicEvaluator):
     """Admissible but inconsistent on every domain: a per-state fraction of
     the quick heuristic."""
 
-    def evaluate_batch(self, states, instance, gs):
+    def evaluate_batch(self, states, instance, g):
         out = []
         for s in states:
-            frac = int.from_bytes(hashlib.blake2b(domains.state_key(s), digest_size=4).digest(), "big") / 2**32
+            frac = int.from_bytes(hashlib.blake2b(s.key(), digest_size=4).digest(), "big") / 2**32
             out.append(frac * domains.quick_heuristic(s, instance))
         return out
 
@@ -337,13 +337,13 @@ def _evaluator_factories(inst):
 
 
 def test_engine_matches_reference_engine():
-    limits = (None, SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25))
+    limits = (SearchLimits(), SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25))
     seen = set()
     for inst in _random_instances():
         for name, make in _evaluator_factories(inst).items():
             for tie_break in TieBreak:
                 for limit in limits:
-                    if inst.domain is not domains.Domain.MAZE and limit is None:
+                    if inst.domain is not domains.Domain.MAZE and limit == SearchLimits():
                         continue  # uniform-cost search would sweep the whole state space
                     ours, theirs = RecordingEvaluator(make()), RecordingEvaluator(make())
                     got = astar(inst, ours, limit, tie_break)
@@ -363,9 +363,11 @@ def test_engine_matches_reference_engine():
 
 
 class PairedEvaluator(HeuristicEvaluator):
-    """Batches any per-instance evaluator across instances: each run of rows
-    from one instance in an ``evaluate_pairs`` call goes to that instance's
-    own evaluator and is logged under the instance as (state keys, gs)."""
+    """Batches any depth-blind per-instance evaluator across instances: each
+    run of rows from one instance in an ``evaluate_pairs`` call goes to that
+    instance's own evaluator and is logged under the instance by its state
+    keys. Lockstep rows carry no depth, so the inner evaluator is asked at
+    depth 0."""
 
     batch_key = "paired"
 
@@ -375,15 +377,15 @@ class PairedEvaluator(HeuristicEvaluator):
         self.inner = {}
         self.calls = {}
 
-    def evaluate_pairs(self, states, instances, gs):
+    def evaluate_pairs(self, states, instances):
         values = []
-        for _, run in groupby(zip(states, instances, gs), key=lambda row: id(row[1])):
-            batch, (inst, *_), depths = zip(*run)
-            self.calls.setdefault(id(inst), []).append(([domains.state_key(s) for s in batch], list(depths)))
+        for _, run in groupby(zip(states, instances), key=lambda row: id(row[1])):
+            batch, (inst, *_) = zip(*run)
+            self.calls.setdefault(id(inst), []).append([s.key() for s in batch])
             if id(inst) not in self.inner:
                 self.inner[id(inst)] = self.make(inst)
             evaluator = self.inner[id(inst)]
-            values += evaluator.evaluate_batch(list(batch), inst, list(depths))
+            values += evaluator.evaluate_batch(list(batch), inst, 0)
         return values
 
 
@@ -401,13 +403,13 @@ def test_lockstep_matches_reference_engine_search_by_search():
     }
     for name, (make, cacheable) in makers.items():
         for tie_break in TieBreak:
-            for limit in (None, SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25)):
-                subset = [inst for inst in instances if limit is not None or inst.domain is domains.Domain.MAZE]
+            for limit in (SearchLimits(), SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25)):
+                subset = [inst for inst in instances if limit != SearchLimits() or inst.domain is domains.Domain.MAZE]
                 wanted = []
                 for inst in subset:
                     theirs = RecordingEvaluator(CountingEvaluator(make(inst), cacheable))
                     want, _ = reference_astar(inst, theirs, limit, tie_break)
-                    wanted.append((want, [c for c in theirs.calls if c[0]]))
+                    wanted.append((want, [keys for keys, _ in theirs.calls if keys]))
                 paired = PairedEvaluator(make, cacheable)
                 got = lockstep(subset, paired, limit, tie_break)
                 assert len(got) == len(subset)
@@ -436,7 +438,7 @@ def test_uncacheable_evaluator_called_once_per_expansion_even_when_empty():
     result = astar(inst, evaluator)
     assert result.status is Status.FRONTIER_EXHAUSTED
     assert len(evaluator.calls) == result.closed_length + 1
-    assert evaluator.calls[-1] == ([], [])
+    assert evaluator.calls[-1] == ([], 1)
 
 
 class SlackedExact(HeuristicEvaluator):
@@ -451,8 +453,8 @@ class SlackedExact(HeuristicEvaluator):
             slack = random.Random(derive_seed(seed, cell)).uniform(0.0, 4.0)
             self.value[domains.MazeState(cell).key()] = max(0.0, d - slack)
 
-    def evaluate_batch(self, states, instance, gs):
-        return [self.value[domains.state_key(s)] for s in states]
+    def evaluate_batch(self, states, instance, g):
+        return [self.value[s.key()] for s in states]
 
 
 def test_plans_stay_optimal_under_slacked_exact_heuristics():
