@@ -64,7 +64,11 @@ def _env_seed() -> int:
 
 
 def _limits(args) -> SearchLimits:
-    return SearchLimits(max_iterations=args.max_iterations, max_wall_time=args.max_wall_time)
+    try:
+        return SearchLimits(max_iterations=args.max_iterations, max_wall_time=args.max_wall_time)
+    except ValueError as exc:
+        field, reason = str(exc).split(" ", 1)  # "<field> must be ..."
+        raise UsageError(f"--{field.replace('_', '-')} {reason}, got {getattr(args, field)}") from None
 
 
 def _require_positive(flag: str, value) -> None:
@@ -279,13 +283,12 @@ def _build_split(domain: Domain, split: str, seed: int, scale: float, jobs: int,
     return generation.build_sokoban_split(split, seed, _load_boxoban(boxoban), scale=scale)
 
 
-def _evaluator_factory(args, instances):
-    """Per-instance evaluators for ``--heuristic``. A learned model is loaded
-    and checked against ``instances`` here, before anything is solved."""
+def _evaluator(args, instances):
+    """The ``--heuristic`` evaluator; a model is loaded and checked against ``instances`` before any solve."""
     if args.heuristic == "quick":
-        return lambda inst: evaluation.QuickHeuristic()
+        return evaluation.QuickHeuristic()
     if args.heuristic == "zero":
-        return lambda inst: ZeroHeuristic()
+        return ZeroHeuristic()
     if not args.model:
         raise UsageError("--heuristic learned needs --model")
     model = models.load_model(args.model)
@@ -295,7 +298,7 @@ def _evaluator_factory(args, instances):
     # Only eval declares the two prediction flags.
     floor = not getattr(args, "no_residual_floor", False)
     round_preds = getattr(args, "round_predictions", False)
-    return lambda inst: models.LearnedHeuristic(model, floor, round_preds)
+    return models.LearnedHeuristic(model, floor, round_preds)
 
 
 def _read_references(path) -> dict:
@@ -305,7 +308,7 @@ def _read_references(path) -> dict:
 def _quick_pool(instances, limits, jobs):
     """Solve with the quick heuristic, which is admissible, so every plan is
     optimal; then extract the pool. Returns (pool, unsolved count)."""
-    results = evaluation.solve_all(instances, lambda inst: evaluation.QuickHeuristic(), limits=limits, jobs=jobs)
+    results = evaluation.solve_all(instances, evaluation.QuickHeuristic(), limits=limits, jobs=jobs)
     return pipeline.extract_pool([(inst, results[inst.id]) for inst in instances])
 
 
@@ -341,10 +344,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    limits = _limits(args)
     instances = generation.read_split(args.instances)
-    factory = _evaluator_factory(args, instances)
     results = evaluation.solve_all(
-        instances, factory, limits=_limits(args), tie_break=TieBreak(args.tie_break), jobs=args.jobs
+        instances, _evaluator(args, instances), limits=limits, tie_break=TieBreak(args.tie_break), jobs=args.jobs
     )
     rows = [_result_row(iid, results[iid]) for iid in sorted(results)]
     write_jsonl(args.out, rows)
@@ -355,13 +358,19 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle_study(args) -> int:
     _require_positive("--noise-seeds", args.noise_seeds)
+    limits = _limits(args)
+    for sigma in args.sigmas:
+        try:
+            oracle.NoiseSpec(sigma)
+        except ValueError as exc:
+            raise UsageError(f"--sigmas {str(exc).split(' ', 1)[1]}, got {sigma}") from None
     instances = generation.read_split(args.instances)
     noise_seeds = [derive_seed(args.seed, "noise", i) for i in range(args.noise_seeds)]
     rows, details = oracle.run_oracle_experiment(
         instances,
         sigmas=args.sigmas,
         seeds=noise_seeds,
-        limits=_limits(args),
+        limits=limits,
         clamp_at_zero=not args.no_clamp,
         per_query=args.per_query,
         jobs=args.jobs,
@@ -384,8 +393,9 @@ def cmd_oracle_study(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    limits = _limits(args)
     instances = generation.read_split(args.instances)
-    pool, skipped = _quick_pool(instances, _limits(args), args.jobs)
+    pool, skipped = _quick_pool(instances, limits, args.jobs)
     pipeline.write_pool(pool, args.out)
     print(f"pool: {len(pool)} examples from {len(instances) - skipped} instances "
           f"({skipped} unsolved skipped) -> {args.out}")
@@ -424,9 +434,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_positive("--eval-seeds", args.eval_seeds)
-    instances = generation.read_split(args.instances)
-    factory = _evaluator_factory(args, instances)
     limits = _limits(args)
+    instances = generation.read_split(args.instances)
+    evaluator = _evaluator(args, instances)
     if args.references and Path(args.references).exists():
         references = _read_references(args.references)
     else:
@@ -438,7 +448,7 @@ def cmd_eval(args) -> int:
     outcome = evaluation.run_experiment(
         instances,
         references,
-        factory,
+        evaluator,
         seeds=list(range(args.eval_seeds)),
         limits=limits,
         tie_break=TieBreak(args.tie_break),
@@ -493,6 +503,7 @@ def _pipeline_config(args, domain: Domain) -> dict:
 def cmd_pipeline(args) -> int:
     domain = Domain(args.domain)
     cfg = _pipeline_config(args, domain)
+    limits = _limits(args)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "config.json"
@@ -505,7 +516,6 @@ def cmd_pipeline(args) -> int:
     else:
         with atomic_write(cfg_path) as fh:
             fh.write(json.dumps({"config": cfg, "config_hash": content_hash(cfg)}, indent=2) + "\n")
-    limits = _limits(args)
 
     def stage(label, output, build, *build_args):
         """``workdir/output``, built first by ``build(path, *build_args)``
@@ -591,7 +601,7 @@ def cmd_pipeline(args) -> int:
         outcome = evaluation.run_experiment(
             instances[split],
             references[split],
-            lambda inst: models.LearnedHeuristic(model),
+            models.LearnedHeuristic(model),
             seeds=[0],
             limits=limits,
             jobs=args.jobs,

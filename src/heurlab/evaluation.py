@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .domains import PuzzleInstance
 from .search import HeuristicEvaluator, QuickHeuristic, SearchLimits, SearchResult, TieBreak, astar, astar_steps
@@ -70,11 +70,6 @@ class MetricsReport:
 LOCKSTEP = 4
 
 
-def _solve_task(task):
-    instance, evaluator, limits, tie_break = task
-    return instance.id, astar(instance, evaluator, limits=limits, tie_break=tie_break)
-
-
 def lockstep(
     instances: Sequence[PuzzleInstance],
     evaluator: HeuristicEvaluator,
@@ -115,34 +110,30 @@ def lockstep(
         active = live
 
 
-def _lockstep_task(task):
-    return lockstep(*task)
+def _solve_chunk(task):
+    """The searches of a chunk of instances: in lockstep, or one astar each."""
+    instances, evaluator, limits, tie_break = task
+    if hasattr(evaluator, "evaluate_pairs"):
+        return lockstep(instances, evaluator, limits, tie_break)
+    return [(inst.id, astar(inst, evaluator, limits=limits, tie_break=tie_break)) for inst in instances]
 
 
 def solve_all(
     instances: Sequence[PuzzleInstance],
-    evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator],
+    evaluator: HeuristicEvaluator,
     limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
     jobs: int = 1,
 ) -> dict[str, SearchResult]:
-    """Solve every instance; evaluators are built in-process, solves may fan
-    out to worker processes. Results keyed by instance id.
-
-    When every evaluator has the same non-None ``batch_key`` the searches run
-    in ``lockstep``, one chunk of instances per worker task, with the first
-    evaluator serving all of them; otherwise each search runs alone through
-    ``astar``."""
-    evaluators = [evaluator_for(inst) for inst in instances]
-    keys = {evaluator.batch_key for evaluator in evaluators}
-    if len(keys) != 1 or None in keys:
-        tasks = [(inst, ev, limits, tie_break) for inst, ev in zip(instances, evaluators)]
-        return dict(map_tasks(_solve_task, tasks, jobs, chunksize=8))
+    """Solve every instance with the one ``evaluator``; results keyed by
+    instance id, in instance order. A chunk of instances (all of them at
+    ``jobs`` 1) runs in ``lockstep`` when the evaluator defines
+    ``evaluate_pairs``, else one search at a time through ``astar``."""
     # A worker task holds a few rounds' worth of searches, so the workers
     # share out the long searches rather than waiting on one worker's chunk.
-    size = 4 * LOCKSTEP if jobs > 1 else len(instances)
-    chunks = [(instances[i : i + size], evaluators[0], limits, tie_break) for i in range(0, len(instances), size)]
-    return dict(pair for chunk in map_tasks(_lockstep_task, chunks, jobs, chunksize=1) for pair in chunk)
+    size = 4 * LOCKSTEP if jobs > 1 else max(len(instances), 1)
+    chunks = [(instances[i : i + size], evaluator, limits, tie_break) for i in range(0, len(instances), size)]
+    return dict(pair for chunk in map_tasks(_solve_chunk, chunks, jobs, chunksize=1) for pair in chunk)
 
 
 def compute_references(
@@ -152,7 +143,7 @@ def compute_references(
 ) -> tuple[dict[str, ReferenceSolution], list[str]]:
     """Quick-heuristic reference solves, with the default larger-g tie-break.
     Returns (references, unsolved ids)."""
-    results = solve_all(instances, lambda inst: QuickHeuristic(), limits=limits, jobs=jobs)
+    results = solve_all(instances, QuickHeuristic(), limits=limits, jobs=jobs)
     references = {}
     failed = []
     for inst in instances:
@@ -238,10 +229,10 @@ def compute_metrics(results: Mapping[str, SearchResult], references: Mapping[str
 
 
 def solve_and_score(instances: Sequence[PuzzleInstance], references: Mapping[str, ReferenceSolution],
-                    evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator], limits: SearchLimits,
-                    tie_break: TieBreak, jobs: int) -> MetricsReport:
+                    evaluator: HeuristicEvaluator, limits: SearchLimits, tie_break: TieBreak,
+                    jobs: int) -> MetricsReport:
     """Solve every instance once and score the run against the references."""
-    results = solve_all(instances, evaluator_for, limits=limits, tie_break=tie_break, jobs=jobs)
+    results = solve_all(instances, evaluator, limits=limits, tie_break=tie_break, jobs=jobs)
     return compute_metrics(results, references)
 
 
@@ -270,7 +261,7 @@ class ExperimentOutcome:
 def run_experiment(
     instances: Sequence[PuzzleInstance],
     references: Mapping[str, ReferenceSolution],
-    evaluator_for: Callable[[PuzzleInstance], HeuristicEvaluator],
+    evaluator: HeuristicEvaluator,
     seeds: Sequence[int],
     limits: SearchLimits = SearchLimits(),
     tie_break: TieBreak = TieBreak.LARGER_G,
@@ -278,9 +269,9 @@ def run_experiment(
     config: dict | None = None,
 ) -> ExperimentOutcome:
     """Solve all instances once per seed and aggregate mean/std across seeds.
-    The seeds are timing repeats: every one solves with the same evaluators."""
+    The seeds are timing repeats: every one solves with the same evaluator."""
     per_seed = [
-        (seed, solve_and_score(instances, references, evaluator_for, limits, tie_break, jobs)) for seed in seeds
+        (seed, solve_and_score(instances, references, evaluator, limits, tie_break, jobs)) for seed in seeds
     ]
     aggregate = mean_over_reports([report for _, report in per_seed])
     manifest = {

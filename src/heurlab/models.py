@@ -166,20 +166,16 @@ class LearnedHeuristic(HeuristicEvaluator):
     """quick_heuristic + floored model residual; one feature matrix and one
     predict_batch call per evaluate_batch or evaluate_pairs, neither of which
     reads a depth. The search engine reuses each state's value within a
-    search (``cacheable``, as every evaluator is by default). Evaluators of
-    one model and settings share a ``batch_key``, so ``evaluation.solve_all``
-    runs their searches in lockstep with one evaluate_pairs call per round
-    across instances; every step of the prediction is row by row, so a
-    state's value does not depend on the rows that share its call."""
+    search (``cacheable``, as every evaluator is by default). It defines
+    ``evaluate_pairs``, so ``evaluation.solve_all`` runs its searches in
+    lockstep with one call per round across instances; every step of the
+    prediction is row by row, so a state's value does not depend on the rows
+    that share its call."""
 
     def __init__(self, model: ResidualModel, floor_at_zero: bool = True, round_predictions: bool = False):
         self.model = model
         self.floor_at_zero = floor_at_zero
         self.round_predictions = round_predictions
-
-    @property
-    def batch_key(self):
-        return id(self.model), self.floor_at_zero, self.round_predictions
 
     def evaluate_batch(self, states, instance, g):
         return self.evaluate_pairs(states, [instance] * len(states))

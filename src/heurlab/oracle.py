@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Iterable, Mapping, Sequence
 
 from . import domains, evaluation
 from .domains import Domain, MazeState, PuzzleInstance
 from .search import HeuristicEvaluator, SearchLimits, TieBreak
-from .util import unit_normal
+from .util import map_tasks, unit_normal
 
 
 class SectionLabel(str, Enum):
@@ -57,6 +58,20 @@ def oracle_distances(instance: PuzzleInstance) -> dict[bytes, int]:
     return {MazeState(divmod(i, width)).key(): d for i, d in enumerate(dist) if d >= 0}
 
 
+def oracle_tables(instances: Sequence[PuzzleInstance]) -> dict[str, dict[bytes, int]]:
+    """Each instance's ``oracle_distances`` table, keyed by instance id; a
+    repeated id, or a start that does not reach the goal, is a ``ValueError``."""
+    tables = {}
+    for inst in instances:
+        if inst.id in tables:
+            raise ValueError(f"instance id {inst.id!r} is repeated")
+        table = oracle_distances(inst)
+        if inst.start_state.key() not in table:
+            raise ValueError(f"instance {inst.id!r}: start state is not connected to the goal")
+        tables[inst.id] = table
+    return tables
+
+
 _SELECTORS = {
     "all": ALL_SECTIONS,
     **{s.value: frozenset([s]) for s in SectionLabel},
@@ -84,39 +99,41 @@ class NoiseSpec:
     per_query: bool = False  # redraw noise on every query instead of per state
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < float("inf"):  # refuses NaN too
+            raise ValueError("sigma must be finite and nonnegative")
         object.__setattr__(self, "oracle_sections", parse_sections(self.oracle_sections))
 
 
 class NoisyOracle(HeuristicEvaluator):
     """Exact h* inside the NoiseSpec's oracle sections, h* + N(0, sigma) elsewhere.
 
-    Noise is a pure function of (noise_seed, state key), so a state keeps the
-    same perturbed value across re-encounters and runs reproduce exactly. The
-    per_query switch instead redraws on every evaluation, which also disables
-    the engine's per-state reuse. Section classification uses the request's
-    one depth g against the instance's optimal plan length; as the value
-    depends on depth, the oracle does not batch across instances.
+    One oracle serves a solve: ``tables`` maps instance ids to exact distance
+    tables (``oracle_tables``). Noise is a pure function of (noise_seed, state
+    key), so a state keeps its perturbed value across re-encounters and runs
+    reproduce exactly. The per_query switch instead redraws on every
+    evaluation, counting draws per instance id, and disables the engine's
+    per-state reuse. Section classification uses the request's one depth g
+    against the instance's optimal plan length, its table's value at the
+    start; as the value depends on depth, the oracle does not batch across
+    instances.
     """
 
-    def __init__(self, instance: PuzzleInstance, spec: NoiseSpec, distances: dict[bytes, int] | None = None):
+    def __init__(self, spec: NoiseSpec, tables: Mapping[str, dict[bytes, int]]):
         self.spec = spec
-        self.distances = distances if distances is not None else oracle_distances(instance)
-        start_key = instance.start_state.key()
-        if start_key not in self.distances:
-            raise ValueError("start state is not connected to the goal")
-        self.plan_len = self.distances[start_key]
+        self.tables = tables
         self.cacheable = not spec.per_query
-        self._draws = 0
+        self._draws = {}  # per_query draws so far, by instance id
 
     def evaluate_batch(self, states, instance, g):
         spec = self.spec
-        exact = spec.oracle_sections == ALL_SECTIONS or section_of(g, self.plan_len) in spec.oracle_sections
+        distances = self.tables[instance.id]
+        exact = spec.oracle_sections == ALL_SECTIONS or (
+            section_of(g, distances[instance.start_state.key()]) in spec.oracle_sections
+        )
         out = []
         for state in states:
             key = state.key()
-            d = self.distances.get(key)
+            d = distances.get(key)
             if d is None:
                 # A state the table lacks (a pocket that wall breaking cut off)
                 # gets the quick heuristic. This branch serves direct calls
@@ -130,8 +147,8 @@ class NoisyOracle(HeuristicEvaluator):
                 continue
             draw = 0
             if spec.per_query:
-                draw = self._draws
-                self._draws += 1
+                draw = self._draws.get(instance.id, 0)
+                self._draws[instance.id] = draw + 1
             value = d + spec.sigma * unit_normal(spec.noise_seed, key, draw)
             if spec.clamp_at_zero and value < 0:
                 value = 0.0
@@ -139,8 +156,8 @@ class NoisyOracle(HeuristicEvaluator):
         return out
 
 
-def exact_oracle(instance: PuzzleInstance, distances: dict[bytes, int] | None = None) -> NoisyOracle:
-    return NoisyOracle(instance, NoiseSpec(sigma=0.0, oracle_sections="all"), distances)
+def exact_oracle(tables: Mapping[str, dict[bytes, int]]) -> NoisyOracle:
+    return NoisyOracle(NoiseSpec(sigma=0.0), tables)
 
 
 def run_oracle_experiment(
@@ -156,37 +173,28 @@ def run_oracle_experiment(
 
     Returns (rows, details): one aggregate row per table line ("all" first,
     then each sigma by section), and the per-(row, seed) metric reports.
+    At ``jobs`` > 1 whole passes go to the workers, since an oracle holds
+    every table and a chunk of instances would carry them all.
     """
     sigmas = list(sigmas)
     seeds = list(seeds)
+    tables = oracle_tables(instances)
+    oracles = {("all", None, None): exact_oracle(tables)}
+    for sigma in sigmas:
+        for section in SectionLabel:
+            for seed in seeds:
+                spec = NoiseSpec(sigma, section, seed, clamp_at_zero=clamp_at_zero, per_query=per_query)
+                oracles[section.value, sigma, seed] = NoisyOracle(spec, tables)
     references, failed = evaluation.compute_references(instances, limits=limits, jobs=jobs)
     if failed:
         raise ValueError(f"{len(failed)} instances lack reference solutions: {failed[:5]}")
-    tables = {inst.id: oracle_distances(inst) for inst in instances}
-
-    rows = []
-    details = {}
-    exact = evaluation.solve_and_score(
-        instances, references, lambda inst: exact_oracle(inst, tables[inst.id]), limits, TieBreak.LARGER_G, jobs
-    )
-    details[("all", None, None)] = exact
-    rows.append(_row("all", None, [exact]))
+    solve_pass = partial(evaluation.solve_and_score, instances, references,
+                         limits=limits, tie_break=TieBreak.LARGER_G, jobs=1)
+    details = dict(zip(oracles, map_tasks(solve_pass, list(oracles.values()), jobs, chunksize=1)))
+    rows = [_row("all", None, [details["all", None, None]])]
     for sigma in sigmas:
         for section in SectionLabel:
-            per_seed = []
-            for seed in seeds:
-                spec = NoiseSpec(
-                    sigma=sigma,
-                    oracle_sections=section,
-                    noise_seed=seed,
-                    clamp_at_zero=clamp_at_zero,
-                    per_query=per_query,
-                )
-                noisy = lambda inst: NoisyOracle(inst, spec, tables[inst.id])
-                report = evaluation.solve_and_score(instances, references, noisy, limits, TieBreak.LARGER_G, jobs)
-                details[(section.value, sigma, seed)] = report
-                per_seed.append(report)
-            rows.append(_row(section.value, sigma, per_seed))
+            rows.append(_row(section.value, sigma, [details[section.value, sigma, seed] for seed in seeds]))
     return rows, details
 
 

@@ -18,15 +18,15 @@ only about states not yet in it.
 The engine is one generator, ``astar_steps``, which yields each evaluation
 request ``(states, g)``, one node's children and the depth they share (the
 root alone at 0), and is sent the values back. ``astar`` drives one search
-with one ``evaluate_batch`` per request; ``evaluation.solve_all`` drives
-several in lockstep when the evaluator batches across instances, with one
-``evaluate_pairs`` call per round whose rows carry no depth. Time
-attribution: a search's ``wall_time`` (and so its ITR) is the
-``perf_counter`` time of its own steps plus its share of each evaluation
-call, split by the rows it asked for; a search driven alone is charged each
-call in full. Each request's values come back with the seconds since the
-request that went to other searches, and the engine leaves those out.
-``SearchLimits.max_wall_time`` compares against that same charged time.
+with one ``evaluate_batch`` per request; ``evaluation.solve_all`` gives one
+evaluator all the searches of a solve and drives several in lockstep when it
+batches across instances, with one ``evaluate_pairs`` call per round whose
+rows carry no depth. Time attribution: a search's ``wall_time`` (and so its
+ITR) is the ``perf_counter`` time of its own steps plus its share of each
+evaluation call, split by the rows it asked for; a search driven alone is
+charged each call in full. Each request's values come back with the seconds
+since the request that went to other searches, and the engine leaves those
+out. ``SearchLimits.max_wall_time`` compares against that same charged time.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class SearchLimits:
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.max_wall_time is not None and self.max_wall_time <= 0:
+        if self.max_wall_time is not None and not self.max_wall_time > 0:  # refuses NaN too
             raise ValueError("max_wall_time must be positive")
 
 
@@ -100,27 +100,21 @@ class SearchResult:
 class HeuristicEvaluator:
     """Batch heuristic interface consumed by the engine: one
     ``evaluate_batch(states, instance, g)`` per request, whose states share
-    the depth ``g``.
+    the depth ``g``. One evaluator serves every search of a solve.
 
     ``cacheable`` lets the engine reuse a state's value within one search, so
     each distinct state is evaluated at most once; evaluators whose value is
     not a pure function of the state opt out.
 
-    An evaluator that can batch across instances sets ``batch_key`` to a
-    hashable value, equal for evaluators whose ``evaluate_pairs`` give the
-    same values, and implements ``evaluate_pairs(states, instances)``: state
-    ``i`` of instance ``i``, with each value independent of the other rows.
-    The rows carry no depth, so an evaluator whose value depends on depth
-    does not batch across instances.
+    An evaluator batches across instances exactly when it defines
+    ``evaluate_pairs(states, instances)``: state ``i`` of instance ``i``,
+    with each value independent of the other rows. The rows carry no depth,
+    so an evaluator whose value depends on depth does not define it.
     """
 
     cacheable: bool = True
-    batch_key = None
 
     def evaluate_batch(self, states, instance, g) -> list[float]:
-        raise NotImplementedError
-
-    def evaluate_pairs(self, states, instances) -> list[float]:
         raise NotImplementedError
 
 

@@ -224,7 +224,7 @@ def sokoban_100(boxoban_file):
 def maze_pool_150(maze_train_150):
     from heurlab import evaluation, pipeline
 
-    results = evaluation.solve_all(maze_train_150, lambda inst: evaluation.QuickHeuristic(), jobs=4)
+    results = evaluation.solve_all(maze_train_150, evaluation.QuickHeuristic(), jobs=4)
     pool, skipped = pipeline.extract_pool([(inst, results[inst.id]) for inst in maze_train_150])
     assert skipped == 0
     return pool

@@ -59,8 +59,10 @@ def test_criterion_01_plans_match_bfs_oracles(maze_val_300, sokoban_100, stp_200
 
 
 def test_criterion_02_exact_oracle_closes_plan_length_nodes(maze_val_300):
-    for inst in maze_val_300[:100]:
-        result = astar(inst, oracle.exact_oracle(inst), tie_break=TieBreak.LARGER_G)
+    instances = maze_val_300[:100]
+    exact = oracle.exact_oracle(oracle.oracle_tables(instances))
+    for inst in instances:
+        result = astar(inst, exact, tie_break=TieBreak.LARGER_G)
         assert result.solved
         assert result.closed_length == result.path_length, inst.id
 
@@ -190,12 +192,12 @@ def test_criterion_07_metric_fixtures_and_self_itr(maze_val_300):
     instances = maze_val_300
     for inst in instances[:20]:  # warm the allocator and caches
         astar(inst, QuickHeuristic())
-    first = evaluation.solve_all(instances, lambda inst: QuickHeuristic())
+    first = evaluation.solve_all(instances, QuickHeuristic())
     references = {
         iid: evaluation.ReferenceSolution(iid, res.closed_length, res.path_length, res.wall_time)
         for iid, res in first.items()
     }
-    second = evaluation.solve_all(instances, lambda inst: QuickHeuristic())
+    second = evaluation.solve_all(instances, QuickHeuristic())
     rerun = evaluation.compute_metrics(second, references)
     assert rerun.ilr_on_solved == 1.0
     assert rerun.swc == 1.0
@@ -234,7 +236,7 @@ def test_criterion_09_planner_aware_beats_uniform(maze_pool_150, maze_test_100):
             selection = pipeline.run_strategy(maze_pool_150, spec)
             assert len(selection) == 2000
             model = models.train_residual_model(selection, "knn", k=8, seed=seed)
-            results = evaluation.solve_all(maze_test_100, lambda inst: models.LearnedHeuristic(model), jobs=4)
+            results = evaluation.solve_all(maze_test_100, models.LearnedHeuristic(model), jobs=4)
             ilr[strategy] = evaluation.compute_metrics(results, refs).ilr_on_solved
         scores.append((ilr[pipeline.Strategy.PLANNER_AWARE], ilr[pipeline.Strategy.UNIFORM]))
         if ilr[pipeline.Strategy.PLANNER_AWARE] >= ilr[pipeline.Strategy.UNIFORM]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from heurlab import cli, generation, models, pipeline, util
+from heurlab import cli, evaluation, generation, models, pipeline, util
 from heurlab.domains import Domain, stp
 from heurlab.util import atomic_write, read_jsonl
 
@@ -464,6 +464,28 @@ def test_export_prompts_matches_pool(pool_file, tmp_path, capsys):
     assert first["instance_id"] == pool[0].instance_id
 
 
+def _limit_argv(command, split_dir, model_file, out):
+    return {
+        "solve": ["solve", "--instances", split_dir, "--out", out],
+        "oracle-study": ["oracle-study", "--instances", split_dir, "--out", out],
+        "extract": ["extract", "--instances", split_dir, "--out", out],
+        "eval": ["eval", "--instances", split_dir, "--out", out, "--model", model_file],
+        "pipeline": ["pipeline", "--workdir", out, "--scale", "0.01", "--strategies", "uniform"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle-study", "extract", "eval", "pipeline"])
+def test_search_limits_are_usage_errors_naming_their_flag(split_dir, model_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = _limit_argv(command, split_dir, model_file, out)
+    for flag, value, reason in [("--max-iterations", "-1", "must be nonnegative"),
+                                ("--max-wall-time", "0", "must be positive"),
+                                ("--max-wall-time", "nan", "must be positive")]:
+        assert run_cli(argv + [flag, value]) == 2, (flag, value)
+        assert f"usage error: {flag} {reason}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle-study
 
@@ -483,6 +505,21 @@ def test_oracle_study_table_and_assert_flag(split_dir, tmp_path, capsys):
     # an unachievable margin trips the ordering assertion
     assert run_cli(argv + ["--assert-ordering", "--margin", "99", "--out", tmp_path / "s2"]) == 1
     assert "ordering violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_oracle_study_refuses_a_bad_sigma_before_solving(split_dir, tmp_path, capsys, monkeypatch, sigma):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --sigmas")
+
+    monkeypatch.setattr(evaluation, "compute_references", no_solve)
+    out = tmp_path / "study"
+    # The iteration cap makes a regression fail rather than run away.
+    argv = ["oracle-study", "--instances", split_dir, "--out", out, f"--sigmas=2.0,{sigma}", "--noise-seeds", "1",
+            "--max-iterations", "50"]
+    assert run_cli(argv) == 2
+    assert f"usage error: --sigmas must be finite and nonnegative, got {float(sigma)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("repeats", ["0", "-2"])
@@ -618,6 +655,14 @@ def test_pipeline_refuses_a_bad_config_before_writing_it(tmp_path, capsys, flag,
     argv = ["pipeline", "--workdir", wd, "--scale", "0.01", "--strategies", "uniform", flag, value]
     assert run_cli(argv) == 2
     assert f"usage error: {flag} must be positive" in capsys.readouterr().err
+    assert not (wd / "config.json").exists()
+
+
+def test_pipeline_refuses_a_bad_search_limit_before_writing_config(tmp_path, capsys):
+    wd = tmp_path / "wd"
+    argv = ["pipeline", "--workdir", wd, "--scale", "0.01", "--strategies", "uniform", "--max-iterations", "-1"]
+    assert run_cli(argv) == 2
+    assert "usage error: --max-iterations must be nonnegative, got -1" in capsys.readouterr().err
     assert not (wd / "config.json").exists()
 
 

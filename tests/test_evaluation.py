@@ -7,6 +7,7 @@ import pytest
 from conftest import maze_bfs_distance
 
 from heurlab.evaluation import (
+    LOCKSTEP,
     MetricsReport,
     ReferenceSolution,
     compute_metrics,
@@ -134,9 +135,10 @@ def test_reference_records_round_trip(maze_train_150):
 
 
 def test_solve_all_parallel_matches_serial(maze_train_150):
-    subset = maze_train_150[:8]
-    serial = solve_all(subset, lambda inst: QuickHeuristic(), jobs=1)
-    parallel = solve_all(subset, lambda inst: QuickHeuristic(), jobs=4)
+    # More instances than one worker task holds, so jobs=4 fans out.
+    subset = maze_train_150[: 4 * LOCKSTEP + 4]
+    serial = solve_all(subset, QuickHeuristic(), jobs=1)
+    parallel = solve_all(subset, QuickHeuristic(), jobs=4)
     assert sorted(serial) == sorted(parallel)
     for instance_id, result in serial.items():
         twin = parallel[instance_id]
@@ -150,12 +152,18 @@ def maze_model(maze_pool_150):
     return train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_solve_all_of_no_instances_is_empty(maze_model, jobs):
+    assert solve_all([], QuickHeuristic(), jobs=jobs) == {}
+    assert solve_all([], LearnedHeuristic(maze_model), jobs=jobs) == {}
+
+
 def test_learned_solve_all_matches_lone_searches_for_any_jobs(maze_train_150, maze_model):
     # Learned searches run in lockstep, in-process or one chunk per worker,
     # and each result equals the search driven alone.
     subset = maze_train_150[:40]
-    serial = solve_all(subset, lambda inst: LearnedHeuristic(maze_model), jobs=1)
-    parallel = solve_all(subset, lambda inst: LearnedHeuristic(maze_model), jobs=4)
+    serial = solve_all(subset, LearnedHeuristic(maze_model), jobs=1)
+    parallel = solve_all(subset, LearnedHeuristic(maze_model), jobs=4)
     assert list(serial) == list(parallel) == [inst.id for inst in subset]
     for inst in subset:
         alone = astar(inst, LearnedHeuristic(maze_model))
@@ -180,7 +188,7 @@ def test_lockstep_shares_model_calls_across_searches(maze_train_150, maze_model,
     alone = [astar(inst, LearnedHeuristic(maze_model)) for inst in subset]
     requests = len(calls)
     calls.clear()
-    together = solve_all(subset, lambda inst: LearnedHeuristic(maze_model))
+    together = solve_all(subset, LearnedHeuristic(maze_model))
     assert len(calls) < requests
     assert sum(calls) == sum(res.heuristic_calls for res in alone)
     assert [res.heuristic_calls for res in together.values()] == [res.heuristic_calls for res in alone]
@@ -189,7 +197,7 @@ def test_lockstep_shares_model_calls_across_searches(maze_train_150, maze_model,
 def test_self_comparison_is_exactly_one(maze_train_150):
     subset = maze_train_150[:10]
     references, _ = compute_references(subset)
-    results = solve_all(subset, lambda inst: QuickHeuristic())
+    results = solve_all(subset, QuickHeuristic())
     report = compute_metrics(results, references)
     assert report.ilr_on_solved == 1.0
     assert report.swc == 1.0
@@ -202,7 +210,7 @@ def test_run_experiment_aggregates_across_seeds(maze_train_150):
     outcome = run_experiment(
         subset,
         references,
-        lambda inst: QuickHeuristic(),
+        QuickHeuristic(),
         seeds=[0, 1, 2],
         config={"name": "unit"},
     )
@@ -221,7 +229,7 @@ def test_run_experiment_aggregates_across_seeds(maze_train_150):
 def test_uninformed_search_loses_ilr(maze_train_150):
     subset = maze_train_150[:6]
     references, _ = compute_references(subset)
-    results = solve_all(subset, lambda inst: ZeroHeuristic())
+    results = solve_all(subset, ZeroHeuristic())
     report = compute_metrics(results, references)
     # Uniform-cost closes at least as many nodes as guided search.
     assert report.ilr_on_solved < 1.0
@@ -247,7 +255,7 @@ def test_rows_csv_round_trip(tmp_path):
 def test_write_report_layout(tmp_path, maze_train_150):
     subset = maze_train_150[:3]
     references, _ = compute_references(subset)
-    results = solve_all(subset, lambda inst: QuickHeuristic())
+    results = solve_all(subset, QuickHeuristic())
     report = compute_metrics(results, references)
     write_report(report, tmp_path, "unit", manifest={"note": "x"})
     results_rows = read_rows_csv(tmp_path / "unit_results.csv")

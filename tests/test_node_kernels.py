@@ -272,7 +272,7 @@ def test_padded_wall_cache_stays_within_its_bound(maze_train_150, monkeypatch):
     monkeypatch.setattr(base, "_padded_grids", {})
     monkeypatch.setattr(base, "PADDED_WALLS_CACHE_SIZE", 3)
     boards = maze_train_150[:8]
-    results = evaluation.solve_all(boards, lambda inst: evaluation.QuickHeuristic())
+    results = evaluation.solve_all(boards, evaluation.QuickHeuristic())
     pool, _ = pipeline.extract_pool([(inst, results[inst.id]) for inst in boards])  # a feature vector per path node
     assert len(pool) > len(boards)
     assert len(base._padded_grids) == 3

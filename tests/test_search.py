@@ -13,7 +13,7 @@ from conftest import MASTER_SEED, _reverse_pull_board, maze_bfs_distance
 from heurlab import domains, generation
 from heurlab.domains import maze, stp
 from heurlab.evaluation import LOCKSTEP, lockstep
-from heurlab.oracle import NoiseSpec, NoisyOracle
+from heurlab.oracle import NoiseSpec, NoisyOracle, oracle_tables
 from heurlab.search import (
     HeuristicEvaluator,
     QuickHeuristic,
@@ -142,8 +142,9 @@ def test_wall_time_limit():
 def test_limits_validation():
     with pytest.raises(ValueError):
         SearchLimits(max_iterations=-1)
-    with pytest.raises(ValueError):
-        SearchLimits(max_wall_time=0.0)
+    for wall in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SearchLimits(max_wall_time=wall)
 
 
 def test_tie_break_larger_g_walks_the_plateau():
@@ -330,9 +331,10 @@ def _evaluator_factories(inst):
     }
     if inst.domain is domains.Domain.MAZE:
         factories["hash_noise"] = lambda: HashNoiseHeuristic(inst)
+        tables = oracle_tables([inst])
         for per_query in (False, True):
             spec = NoiseSpec(sigma=3.0, oracle_sections="middle", noise_seed=11, per_query=per_query)
-            factories[f"noisy_oracle_per_query_{per_query}"] = lambda spec=spec: NoisyOracle(inst, spec)
+            factories[f"noisy_oracle_per_query_{per_query}"] = lambda spec=spec: NoisyOracle(spec, tables)
     return factories
 
 
@@ -368,8 +370,6 @@ class PairedEvaluator(HeuristicEvaluator):
     instance's own evaluator and is logged under the instance by its state
     keys. Lockstep rows carry no depth, so the inner evaluator is asked at
     depth 0."""
-
-    batch_key = "paired"
 
     def __init__(self, make, cacheable):
         self.make = make  # instance -> evaluator

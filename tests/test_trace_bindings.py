@@ -99,7 +99,7 @@ def test_quick_and_learned_searches_call_the_traced_domain_bindings(maze_train_1
         traced.install(tracer)
         search.astar(maze_train_150[0], search.QuickHeuristic())
         quick = {name: calls(name) for name in ("successors", "quick_heuristic", "feature_vector")}
-        evaluation.solve_all(maze_train_150[1:4], lambda inst: models.LearnedHeuristic(model))
+        evaluation.solve_all(maze_train_150[1:4], models.LearnedHeuristic(model))
         learned = {name: calls(name) - quick[name] for name in quick}
     finally:
         tracer.restore()
