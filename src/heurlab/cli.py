@@ -445,21 +445,19 @@ def cmd_eval(args) -> int:
             print(f"warning: {len(failed)} instances had no reference solve", file=sys.stderr)
         if args.references:
             write_jsonl(args.references, evaluation.reference_records(references))
-    outcome = evaluation.run_experiment(
-        instances,
-        references,
-        evaluator,
-        seeds=list(range(args.eval_seeds)),
-        limits=limits,
-        tie_break=TieBreak(args.tie_break),
-        jobs=args.jobs,
-        config={"heuristic": args.heuristic, "model": args.model, "name": args.name},
+    tie_break = TieBreak(args.tie_break)
+    seeds = list(range(args.eval_seeds))
+    manifest = evaluation.run_manifest(
+        instances, {"heuristic": args.heuristic, "model": args.model, "name": args.name}, seeds
     )
     out = Path(args.out)
-    for seed, report in outcome.per_seed:
-        evaluation.write_report(report, out, f"{args.name}_seed{seed}", manifest=outcome.manifest)
-    evaluation.write_rows_csv([outcome.aggregate], out / f"{args.name}_aggregate.csv")
-    agg = outcome.aggregate
+    reports = []
+    for seed in seeds:
+        report = evaluation.solve_and_score(instances, references, evaluator, limits, tie_break, args.jobs)
+        evaluation.write_report(report, out, f"{args.name}_seed{seed}", manifest)
+        reports.append(report)
+    agg = evaluation.mean_over_reports(reports)
+    evaluation.write_rows_csv([agg], out / f"{args.name}_aggregate.csv")
     print(f"{args.name}: ILR-solved {agg['ilr_on_solved']:.4f}  ILR-optimal {agg['ilr_on_optimal']:.4f}  "
           f"SWC {agg['swc']:.4f}  Optimal% {agg['optimal_pct']:.1f}")
     return EXIT_OK
@@ -598,17 +596,10 @@ def cmd_pipeline(args) -> int:
             evaluation.write_rows_csv([{"strategy": row, "split": split, "skipped": reason}], path)
             print(f"  {name}: skipped ({reason})", file=sys.stderr)
             return
-        outcome = evaluation.run_experiment(
-            instances[split],
-            references[split],
-            models.LearnedHeuristic(model),
-            seeds=[0],
-            limits=limits,
-            jobs=args.jobs,
-            config={"strategy": row, "split": split, **cfg},
-        )
-        _, report = outcome.per_seed[0]
-        evaluation.write_report(report, path.parent, name, manifest=outcome.manifest)
+        report = evaluation.solve_and_score(instances[split], references[split], models.LearnedHeuristic(model),
+                                            limits, TieBreak.LARGER_G, args.jobs)
+        manifest = evaluation.run_manifest(instances[split], {"strategy": row, "split": split, **cfg}, [0])
+        evaluation.write_report(report, path.parent, name, manifest)
 
     summaries = {(row, split): stage(f"eval/{row}_{split}", f"eval/{row}_{split}_summary.csv", build_eval, row, split)
                  for row in strategies for split in eval_splits}

@@ -1,4 +1,4 @@
-"""Reference solves, search-efficiency metrics, and experiment runs.
+"""Reference solves, search-efficiency metrics, and report files.
 
 Metrics compare a candidate heuristic's solves against quick-heuristic
 references on the same instances:
@@ -251,38 +251,16 @@ def mean_over_reports(reports: Sequence[MetricsReport]) -> dict:
     return aggregate
 
 
-@dataclass
-class ExperimentOutcome:
-    per_seed: list[tuple[int, MetricsReport]]
-    aggregate: dict
-    manifest: dict
-
-
-def run_experiment(
-    instances: Sequence[PuzzleInstance],
-    references: Mapping[str, ReferenceSolution],
-    evaluator: HeuristicEvaluator,
-    seeds: Sequence[int],
-    limits: SearchLimits = SearchLimits(),
-    tie_break: TieBreak = TieBreak.LARGER_G,
-    jobs: int = 1,
-    config: dict | None = None,
-) -> ExperimentOutcome:
-    """Solve all instances once per seed and aggregate mean/std across seeds.
-    The seeds are timing repeats: every one solves with the same evaluator."""
-    per_seed = [
-        (seed, solve_and_score(instances, references, evaluator, limits, tie_break, jobs)) for seed in seeds
-    ]
-    aggregate = mean_over_reports([report for _, report in per_seed])
-    manifest = {
-        "config_hash": content_hash(config or {}),
+def run_manifest(instances: Sequence[PuzzleInstance], config: dict, seeds: Sequence[int]) -> dict:
+    """The manifest record of a report: what was run, on which inputs, where."""
+    return {
+        "config_hash": content_hash(config),
         "inputs_hash": content_hash([inst.id for inst in instances]),
         "n_instances": len(instances),
         "seeds": list(seeds),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
     }
-    return ExperimentOutcome(per_seed=per_seed, aggregate=aggregate, manifest=manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +279,12 @@ def read_rows_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def write_report(report: MetricsReport, out_dir: str | Path, name: str, manifest: dict | None = None) -> None:
+def write_report(report: MetricsReport, out_dir: str | Path, name: str, manifest: dict) -> None:
     """Rows, manifest, then the summary: the pipeline takes the summary's
     presence to mean the report is complete, so it is written last."""
     out_dir = Path(out_dir)
     write_rows_csv(report.rows, out_dir / f"{name}_results.csv")
-    records = [{"kind": "summary", **report.summary()}]
-    if manifest:
-        records.insert(0, {"kind": "manifest", **manifest})
+    records = [{"kind": "manifest", **manifest}, {"kind": "summary", **report.summary()}]
     if report.errors:
         records.extend({"kind": "error", **err} for err in report.errors)
     write_jsonl(out_dir / f"{name}_manifest.jsonl", records)

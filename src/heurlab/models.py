@@ -238,14 +238,35 @@ def _model_array(path: str | Path, record: dict, name: str, ndim: int) -> np.nda
     return array
 
 
+def _model_enum(path: str | Path, record: dict, name: str, enum: type[Enum]) -> Enum:
+    try:
+        return enum(record[name])
+    except ValueError as exc:
+        expected = ", ".join(member.value for member in enum)
+        raise ValueError(f"{path}: model field '{name}' is {record[name]!r}, expected one of {expected}") from exc
+
+
 def load_model(path: str | Path) -> ResidualModel:
-    """Read a saved model, rejecting files whose arrays disagree in shape,
-    hold non-finite values, or whose k-NN ``k`` is outside 1..len(neighbors)."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    if record.get("format") != MODEL_FORMAT:
+    """Read a saved model, rejecting files that are not valid JSON, lack a
+    field, name an unknown kind or domain, have a bias that is not a finite
+    number, or whose arrays disagree in shape, hold non-finite values, or
+    whose k-NN ``k`` is outside 1..len(neighbors). Every error names the file."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSON and UTF-8 decoding errors
+        raise ValueError(f"{path}: not a valid model file ({exc})") from exc
+    if not isinstance(record, dict) or record.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a model file")
     if record.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {record.get('version')}")
+        raise ValueError(f"{path}: unsupported model version {record.get('version')}")
+    for name in ("kind", "domain", "k", "mu", "sigma", "bias", "manifest"):
+        if name not in record:
+            raise ValueError(f"{path}: model field '{name}' is missing")
+    bias = record["bias"]
+    if isinstance(bias, bool) or not isinstance(bias, (int, float)):
+        raise ValueError(f"{path}: model field 'bias' is {bias!r}, expected a number")
+    if not math.isfinite(bias):
+        raise ValueError(f"{path}: model field 'bias' is not finite")
     mu = _model_array(path, record, "mu", 1)
     sigma = _model_array(path, record, "sigma", 1)
     if len(sigma) != len(mu):
@@ -253,12 +274,12 @@ def load_model(path: str | Path) -> ResidualModel:
     if np.any(sigma <= 0):
         raise ValueError(f"{path}: model field 'sigma' has entries <= 0")
     model = ResidualModel(
-        kind=ModelKind(record["kind"]),
-        domain=Domain(record["domain"]),
+        kind=_model_enum(path, record, "kind", ModelKind),
+        domain=_model_enum(path, record, "domain", Domain),
         mu=mu,
         sigma=sigma,
         k=record["k"],
-        bias=record["bias"],
+        bias=bias,
         manifest=record["manifest"],
     )
     if model.kind is ModelKind.KNN:
@@ -277,6 +298,4 @@ def load_model(path: str | Path) -> ResidualModel:
         model.weights = _model_array(path, record, "weights", 1)
         if len(model.weights) != len(mu):
             raise ValueError(f"{path}: model field 'weights' has {len(model.weights)} entries, 'mu' has {len(mu)}")
-        if not math.isfinite(model.bias):
-            raise ValueError(f"{path}: model field 'bias' is not finite")
     return model

@@ -338,6 +338,18 @@ def test_eval_rejects_a_model_of_another_domain_before_solving(tile_split_dir, m
     assert not (tmp_path / "rep").exists()
 
 
+def test_eval_names_a_model_file_missing_its_bias(split_dir, model_file, tmp_path, capsys):
+    record = json.loads(Path(model_file).read_text())
+    del record["bias"]
+    bad = tmp_path / "no_bias.json"
+    bad.write_text(json.dumps(record))
+    argv = ["eval", "--model", bad, "--instances", split_dir, "--references", tmp_path / "r.jsonl",
+            "--out", tmp_path / "rep"]
+    assert run_cli(argv) == 3
+    assert f"error: {bad}: model field 'bias' is missing" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_solve_rejects_a_model_of_another_domain(tile_split_dir, model_file, tmp_path, capsys):
     out = tmp_path / "runs.jsonl"
     argv = ["solve", "--heuristic", "learned", "--model", model_file, "--instances", tile_split_dir, "--out", out]

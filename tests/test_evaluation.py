@@ -16,14 +16,15 @@ from heurlab.evaluation import (
     read_rows_csv,
     reference_from_record,
     reference_records,
-    run_experiment,
+    run_manifest,
     solve_all,
     write_report,
     write_rows_csv,
 )
-from heurlab import models
+from heurlab import cli, generation, models
 from heurlab.models import LearnedHeuristic, predict_batch, train_residual_model
-from heurlab.search import QuickHeuristic, SearchLimits, SearchResult, Status, ZeroHeuristic, astar
+from heurlab.search import QuickHeuristic, SearchLimits, SearchResult, Status, TieBreak, ZeroHeuristic, astar
+from heurlab.util import read_jsonl
 
 
 def _ref(instance_id, closed, plan, wall=1.0):
@@ -204,26 +205,27 @@ def test_self_comparison_is_exactly_one(maze_train_150):
     assert report.optimal_pct == 100.0
 
 
-def test_run_experiment_aggregates_across_seeds(maze_train_150):
-    subset = maze_train_150[:6]
-    references, _ = compute_references(subset)
-    outcome = run_experiment(
-        subset,
-        references,
-        QuickHeuristic(),
-        seeds=[0, 1, 2],
-        config={"name": "unit"},
-    )
-    assert len(outcome.per_seed) == 3
-    # Identical evaluator per seed: zero variance, mean equals each seed.
-    assert outcome.aggregate["ilr_on_solved"] == 1.0
-    assert outcome.aggregate["ilr_on_solved_std"] == 0.0
-    assert outcome.aggregate["swc"] == 1.0
-    assert outcome.aggregate["optimal_pct"] == 100.0
-    for key in ("config_hash", "inputs_hash", "n_instances", "seeds", "python", "platform"):
-        assert key in outcome.manifest
-    assert outcome.manifest["n_instances"] == 6
-    assert outcome.manifest["seeds"] == [0, 1, 2]
+def test_eval_repeats_aggregate_across_seeds(maze_train_150, tmp_path):
+    generation.write_split(maze_train_150[:6], tmp_path / "split")
+    out = tmp_path / "report"
+    argv = ["eval", "--instances", str(tmp_path / "split"), "--out", str(out), "--name", "unit",
+            "--heuristic", "quick", "--eval-seeds", "3"]
+    assert cli.main(argv) == 0
+    for seed in range(3):
+        for suffix in ("results.csv", "summary.csv", "manifest.jsonl"):
+            assert (out / f"unit_seed{seed}_{suffix}").exists()
+    # Identical evaluator per repeat: zero spread, mean equals each repeat.
+    aggregate = {key: float(value) for key, value in read_rows_csv(out / "unit_aggregate.csv")[0].items()}
+    for key, mean in (("ilr_on_solved", 1.0), ("swc", 1.0), ("optimal_pct", 100.0)):
+        assert aggregate[key] == mean
+        assert aggregate[key + "_std"] == 0.0
+    manifest = run_manifest(generation.read_split(tmp_path / "split"),
+                            {"heuristic": "quick", "model": None, "name": "unit"}, [0, 1, 2])
+    assert list(manifest) == ["config_hash", "inputs_hash", "n_instances", "seeds", "python", "platform"]
+    assert manifest["n_instances"] == 6
+    assert manifest["seeds"] == [0, 1, 2]
+    for seed in range(3):
+        assert read_jsonl(out / f"unit_seed{seed}_manifest.jsonl")[0] == {"kind": "manifest", **manifest}
 
 
 def test_uninformed_search_loses_ilr(maze_train_150):
@@ -263,8 +265,6 @@ def test_write_report_layout(tmp_path, maze_train_150):
     summary_rows = read_rows_csv(tmp_path / "unit_summary.csv")
     assert len(summary_rows) == 1
     assert float(summary_rows[0]["ilr_on_solved"]) == 1.0
-    from heurlab.util import read_jsonl
-
     records = read_jsonl(tmp_path / "unit_manifest.jsonl")
     kinds = [r["kind"] for r in records]
     assert kinds[0] == "manifest"
@@ -411,13 +411,13 @@ def test_scoring_path_is_bit_identical_to_the_counter_implementation(monkeypatch
         assert list(evaluation.mean_over_reports(new).items()) == list(_counter_aggregate(old).items())
         assert list(oracle._row("middle", 2.0, new).items()) == list(_counter_oracle_row("middle", 2.0, old).items())
 
-        # run_experiment solves once per seed through evaluation.solve_all.
+        # eval solves once per repeat through evaluation.solve_all.
         queue = [results for results, _ in runs]
         monkeypatch.setattr(evaluation, "solve_all", lambda *args, **kwargs: queue.pop(0))
         merged = {}
         for _, references in runs:
             merged.update(references)
-        outcome = run_experiment([], merged, None, seeds=list(range(len(runs))))
+        reports = [evaluation.solve_and_score([], merged, None, SearchLimits(), TieBreak.LARGER_G, 1) for _ in runs]
         expected = [_counter_metrics(results, merged) for results, _ in runs]
-        assert [report for _, report in outcome.per_seed] == expected
-        assert list(outcome.aggregate.items()) == list(_counter_aggregate(expected).items())
+        assert reports == expected
+        assert list(evaluation.mean_over_reports(reports).items()) == list(_counter_aggregate(expected).items())

@@ -465,6 +465,12 @@ def _write(path, record):
         ("linear", lambda r: r["weights"].append(1.0), "'weights' has 3 entries, 'mu' has 2"),
         ("linear", lambda r: r["weights"].__setitem__(0, float("nan")), "'weights' has non-finite values"),
         ("linear", lambda r: r.__setitem__("bias", float("inf")), "'bias' is not finite"),
+        ("linear", lambda r: r.__setitem__("bias", "x"), "'bias' is 'x', expected a number"),
+        ("linear", lambda r: r.__setitem__("bias", True), "'bias' is True, expected a number"),
+        ("linear", lambda r: r.pop("bias"), "'bias' is missing"),
+        ("knn", lambda r: r.pop("manifest"), "'manifest' is missing"),
+        ("knn", lambda r: r.__setitem__("kind", "tree"), "'kind' is 'tree', expected one of knn, linear"),
+        ("linear", lambda r: r.__setitem__("domain", "tiles"), "'domain' is 'tiles', expected one of maze, sokoban, stp"),
     ],
 )
 def test_load_rejects_inconsistent_model_files(tmp_path, kind, corrupt, message):
@@ -473,6 +479,22 @@ def test_load_rejects_inconsistent_model_files(tmp_path, kind, corrupt, message)
     corrupt(record)
     with pytest.raises(ValueError, match=re.escape(f"{path}: model field {message}")):
         load_model(_write(path, record))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda text: text[: len(text) // 2], ": not a valid model file ("),
+        (lambda text: text.replace('"version": 1', '"version": 99'), ": unsupported model version 99"),
+        (lambda text: f"[{text}]", " is not a model file"),
+    ],
+    ids=["truncated", "future_version", "not_an_object"],
+)
+def test_load_names_the_file_of_a_malformed_model(tmp_path, corrupt, message):
+    path, _ = _saved_record(tmp_path, "linear")
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        load_model(path)
 
 
 def test_load_accepts_k_equal_to_neighbor_count(tmp_path):

@@ -65,6 +65,25 @@ def test_oracle_study_solves_through_the_traced_bindings(maze_train_150):
     assert tracer.counters["search.oracle.expansions"] > 0
 
 
+def test_eval_repeats_solve_and_report_through_the_traced_bindings(maze_train_150, tmp_path):
+    # With the references read from a file, eval solves and writes one
+    # report per repeat, each through the binding the tracer wraps.
+    split, refs = tmp_path / "split", tmp_path / "refs.jsonl"
+    generation.write_split(maze_train_150[:3], split)
+    util.write_jsonl(refs, evaluation.reference_records(evaluation.compute_references(maze_train_150[:3])[0]))
+    traced = _load_traced()
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer)
+        argv = ["eval", "--instances", str(split), "--out", str(tmp_path / "report"), "--heuristic", "quick",
+                "--eval-seeds", "2", "--references", str(refs)]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    assert tracer.stats["evaluation.solve_all"][0] == 2
+    assert tracer.stats["evaluation.write_report"][0] == 2
+
+
 def test_every_difficulty_gate_search_is_a_traced_generation_attempt(tmp_path):
     # The gate must reach A* through generation.astar, the binding the tracer
     # wraps; a search made through any other binding is missing from both
