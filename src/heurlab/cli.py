@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,27 +55,40 @@ class UsageError(Exception):
     pass
 
 
-def _env_seed() -> int:
+def _env_seed() -> int | UsageError:
+    """``--seed``'s default: HEURLAB_SEED, else 0. A value that is not an
+    integer is kept as its error, which main() raises only when no ``--seed``
+    replaces it."""
     raw = os.environ.get("HEURLAB_SEED")
     if raw is None:
         return 0
     try:
         return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"HEURLAB_SEED must be an integer, got {raw!r}") from exc
+    except ValueError:
+        return UsageError(f"HEURLAB_SEED must be an integer, got {raw!r}")
 
 
-def _limits(args) -> SearchLimits:
-    try:
-        return SearchLimits(max_iterations=args.max_iterations, max_wall_time=args.max_wall_time)
-    except ValueError as exc:
-        field, reason = str(exc).split(" ", 1)  # "<field> must be ..."
-        raise UsageError(f"--{field.replace('_', '-')} {reason}, got {getattr(args, field)}") from None
+def _rule(name: str, holds) -> type[argparse.Action]:
+    """The action of an option whose value, or each entry of a list value, must be ``name``, as ``holds``
+    tests it. A config-file value arrives as a flag, so it is refused the same way, before any handler runs."""
+    class Rule(argparse.Action):
+        rule = name
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            for value in values if isinstance(values, list) else [values]:
+                if not holds(value):
+                    raise UsageError(f"{self.option_strings[0]} must be {name}, got {value}")
+            setattr(namespace, self.dest, values)
+
+    return Rule
 
 
-def _require_positive(flag: str, value) -> None:
-    if not value > 0:
-        raise UsageError(f"{flag} must be positive, got {value}")
+# Each numeric option but --seed declares one of these as its action. NaN fails every one.
+POSITIVE = _rule("positive", lambda v: v > 0)
+NONNEGATIVE = _rule("nonnegative", lambda v: v >= 0)
+FINITE = _rule("finite", math.isfinite)
+FINITE_POSITIVE = _rule("finite and positive", lambda v: 0 < v < math.inf)
+FINITE_NONNEGATIVE = _rule("finite and nonnegative", lambda v: 0 <= v < math.inf)
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -88,8 +103,8 @@ def _comma_names(text: str) -> list[str]:
 # Parser construction and config-file merging
 
 def _limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--max-wall-time", type=float)
+    p.add_argument("--max-iterations", type=int, action=NONNEGATIVE)
+    p.add_argument("--max-wall-time", type=float, action=POSITIVE)
 
 
 def _heuristic_flags(p: argparse.ArgumentParser, default: str) -> None:
@@ -99,7 +114,7 @@ def _heuristic_flags(p: argparse.ArgumentParser, default: str) -> None:
 
 def _model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-kind", choices=[k.value for k in models.ModelKind], default="knn")
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=int, default=8, action=POSITIVE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI file; [common] plus a per-command section; flags win")
     common.add_argument("--seed", type=int, default=_env_seed(), help="master seed (HEURLAB_SEED fallback)")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for parallel stages")
+    common.add_argument("--jobs", type=int, default=1, action=POSITIVE, help="worker processes for parallel stages")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", choices=[d.value for d in Domain], default="maze")
     p.add_argument("--splits", default="", help="comma list; default: every split in the catalogue")
     p.add_argument("--out", required=True, help="output root; one directory per split")
-    p.add_argument("--scale", type=float, default=0.1, help="split-size multiplier")
+    p.add_argument("--scale", type=float, default=0.1, action=FINITE_POSITIVE, help="split-size multiplier")
     p.add_argument("--boxoban", help="level file or directory (Sokoban source boards)")
     p.add_argument("--force", action="store_true", help="overwrite non-empty split directories")
     p.set_defaults(func=cmd_generate)
@@ -140,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = register("oracle-study", "noise-injected exact-heuristic study on mazes")
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sigmas", type=_comma_floats, default=[2.0, 4.0, 6.0])
-    p.add_argument("--noise-seeds", type=int, default=3, help="number of derived noise seeds")
-    p.add_argument("--margin", type=float, default=0.05)
+    p.add_argument("--sigmas", type=_comma_floats, default=[2.0, 4.0, 6.0], action=FINITE_NONNEGATIVE)
+    p.add_argument("--noise-seeds", type=int, default=3, action=POSITIVE, help="number of derived noise seeds")
+    p.add_argument("--margin", type=float, default=0.05, action=FINITE)
     p.add_argument("--assert-ordering", action="store_true",
                    help="exit 1 unless End > Middle > Initial by --margin at every sigma")
     p.add_argument("--per-query", action="store_true", help="redraw noise on every query")
@@ -162,17 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[s.value for s in pipeline.Strategy], default="uniform")
     # Each dest is the SamplingSpec field, which holds the default: an unset option is absent from args.
     unset = argparse.SUPPRESS
-    p.add_argument("--tau", type=float, default=unset)
+    p.add_argument("--tau", type=float, default=unset, action=POSITIVE)
     p.add_argument("--c-variant", type=pipeline.CVariant, choices=[c.value for c in pipeline.CVariant], default=unset)
-    p.add_argument("--budget", type=int, default=unset, dest="total_budget", metavar="BUDGET", help="global selection size")
-    p.add_argument("--per-problem-m", type=int, default=unset, help="per-instance size (alternative to --budget)")
+    p.add_argument("--budget", type=int, default=unset, dest="total_budget", metavar="BUDGET", action=POSITIVE,
+                   help="global selection size")
+    p.add_argument("--per-problem-m", type=int, default=unset, action=POSITIVE,
+                   help="per-instance size (alternative to --budget)")
     p.add_argument("--section", default=unset,
                    help="section_split selector: all, initial, middle, end or ~<section> for the other two")
-    p.add_argument("--clusters", type=int, default=unset, dest="n_clusters", metavar="CLUSTERS",
+    p.add_argument("--clusters", type=int, default=unset, dest="n_clusters", metavar="CLUSTERS", action=POSITIVE,
                    help="k-means cluster count of semdedup and of combined's per-instance dedup "
                         "(default: one per 200 examples it dedups, rounded up)")
     p.add_argument("--threshold", type=float, default=unset, dest="similarity_threshold", metavar="THRESHOLD",
-                   help="cosine cutoff of semdedup and of combined's per-instance dedup")
+                   action=FINITE, help="cosine cutoff of semdedup and of combined's per-instance dedup")
     p.set_defaults(func=cmd_sample)
 
     p = register("train", "fit a residual model on a selection")
@@ -187,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="eval", help="report file prefix")
     _heuristic_flags(p, "learned")
     p.add_argument("--references", help="reference file; computed (and saved here) when missing")
-    p.add_argument("--eval-seeds", type=int, default=1, help="independent timing repeats")
+    p.add_argument("--eval-seeds", type=int, default=1, action=POSITIVE, help="independent timing repeats")
     p.add_argument("--no-residual-floor", action="store_true")
     p.add_argument("--round-predictions", action="store_true")
     _limit_flags(p)
@@ -197,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = register("pipeline", "checkpointed end-to-end run: generate, pool, sample, train, compare")
     p.add_argument("--workdir", required=True)
     p.add_argument("--domain", choices=[d.value for d in Domain], default="maze")
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--scale", type=float, default=0.1, action=FINITE_POSITIVE)
     p.add_argument("--strategies", default=",".join(PIPELINE_ROWS), help="comma list of comparison rows")
-    p.add_argument("--budget", type=int, help="selection budget before scaling (domain default)")
-    p.add_argument("--tau", type=float, help="planner-aware temperature (domain default)")
-    p.add_argument("--combined-tau", type=float, help="temperature for semdedup_planner (domain default)")
+    p.add_argument("--budget", type=int, action=POSITIVE, help="selection budget before scaling (domain default)")
+    p.add_argument("--tau", type=float, action=POSITIVE, help="planner-aware temperature (domain default)")
+    p.add_argument("--combined-tau", type=float, action=POSITIVE, help="temperature for semdedup_planner (domain default)")
     _model_flags(p)
     p.add_argument("--boxoban", help="Sokoban source boards (required for --domain sokoban)")
     _limit_flags(p)
@@ -275,12 +292,13 @@ def _load_boxoban(path: str | None) -> list:
     return generation.load_boxoban(p)
 
 
-def _build_split(domain: Domain, split: str, seed: int, scale: float, jobs: int, boxoban: str | None):
+def _build_split(domain: Domain, split: str, seed: int, scale: float, jobs: int, boards):
+    """``boards()`` returns the Sokoban source boards; only a Sokoban split calls it."""
     if domain is Domain.MAZE:
         return generation.build_maze_split(split, seed, scale=scale, jobs=jobs)
     if domain is Domain.STP:
         return generation.build_stp_split(split, seed, scale=scale, jobs=jobs)
-    return generation.build_sokoban_split(split, seed, _load_boxoban(boxoban), scale=scale)
+    return generation.build_sokoban_split(split, seed, boards(), scale=scale)
 
 
 def _evaluator(args, instances):
@@ -335,8 +353,9 @@ def cmd_generate(args) -> int:
     if unknown:
         raise UsageError(f"unknown splits {unknown}; {domain.value} has {list(catalogue)}")
     out_root = Path(args.out)
+    boards = functools.cache(lambda: _load_boxoban(args.boxoban))
     for split in names:
-        instances = _build_split(domain, split, args.seed, args.scale, args.jobs, args.boxoban)
+        instances = _build_split(domain, split, args.seed, args.scale, args.jobs, boards)
         out_dir = out_root / domain.value / split
         generation.write_split(instances, out_dir, force=args.force)
         print(f"{domain.value}/{split}: {len(instances)} instances -> {out_dir}")
@@ -344,7 +363,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    limits = _limits(args)
+    limits = SearchLimits(args.max_iterations, args.max_wall_time)
     instances = generation.read_split(args.instances)
     results = evaluation.solve_all(
         instances, _evaluator(args, instances), limits=limits, tie_break=TieBreak(args.tie_break), jobs=args.jobs
@@ -357,20 +376,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_study(args) -> int:
-    _require_positive("--noise-seeds", args.noise_seeds)
-    limits = _limits(args)
-    for sigma in args.sigmas:
-        try:
-            oracle.NoiseSpec(sigma)
-        except ValueError as exc:
-            raise UsageError(f"--sigmas {str(exc).split(' ', 1)[1]}, got {sigma}") from None
     instances = generation.read_split(args.instances)
     noise_seeds = [derive_seed(args.seed, "noise", i) for i in range(args.noise_seeds)]
     rows, details = oracle.run_oracle_experiment(
         instances,
         sigmas=args.sigmas,
         seeds=noise_seeds,
-        limits=limits,
+        limits=SearchLimits(args.max_iterations, args.max_wall_time),
         clamp_at_zero=not args.no_clamp,
         per_query=args.per_query,
         jobs=args.jobs,
@@ -393,9 +405,8 @@ def cmd_oracle_study(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    limits = _limits(args)
     instances = generation.read_split(args.instances)
-    pool, skipped = _quick_pool(instances, limits, args.jobs)
+    pool, skipped = _quick_pool(instances, SearchLimits(args.max_iterations, args.max_wall_time), args.jobs)
     pipeline.write_pool(pool, args.out)
     print(f"pool: {len(pool)} examples from {len(instances) - skipped} instances "
           f"({skipped} unsolved skipped) -> {args.out}")
@@ -420,7 +431,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_positive("--k", args.k)
     examples = pipeline.read_pool(args.pool)
     model = models.train_residual_model(
         examples, kind=args.model_kind, k=args.k, seed=args.seed, manifest={"source": str(args.pool)}
@@ -433,8 +443,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_positive("--eval-seeds", args.eval_seeds)
-    limits = _limits(args)
+    limits = SearchLimits(args.max_iterations, args.max_wall_time)
     instances = generation.read_split(args.instances)
     evaluator = _evaluator(args, instances)
     if args.references and Path(args.references).exists():
@@ -474,23 +483,18 @@ def cmd_export_prompts(args) -> int:
 # End-to-end pipeline with stage checkpoints
 
 def _pipeline_config(args, domain: Domain) -> dict:
-    budget = args.budget if args.budget is not None else DOMAIN_BUDGET[domain]
-    tau = args.tau if args.tau is not None else DOMAIN_TAU[domain]
-    combined_tau = args.combined_tau if args.combined_tau is not None else DOMAIN_COMBINED_TAU[domain]
     strategies = _comma_names(args.strategies)
     unknown = [s for s in strategies if s not in PIPELINE_ROWS]
     if unknown:
         raise UsageError(f"unknown strategies {unknown}; choose from {list(PIPELINE_ROWS)}")
-    for flag, value in (("--budget", budget), ("--tau", tau), ("--combined-tau", combined_tau), ("--k", args.k)):
-        _require_positive(flag, value)
     return {
         "domain": domain.value,
         "scale": args.scale,
         "seed": args.seed,
         "strategies": strategies,
-        "budget": budget,
-        "tau": tau,
-        "combined_tau": combined_tau,
+        "budget": DOMAIN_BUDGET[domain] if args.budget is None else args.budget,
+        "tau": DOMAIN_TAU[domain] if args.tau is None else args.tau,
+        "combined_tau": DOMAIN_COMBINED_TAU[domain] if args.combined_tau is None else args.combined_tau,
         "model_kind": args.model_kind,
         "k": args.k,
         "max_iterations": args.max_iterations,
@@ -501,7 +505,7 @@ def _pipeline_config(args, domain: Domain) -> dict:
 def cmd_pipeline(args) -> int:
     domain = Domain(args.domain)
     cfg = _pipeline_config(args, domain)
-    limits = _limits(args)
+    limits = SearchLimits(args.max_iterations, args.max_wall_time)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "config.json"
@@ -527,8 +531,10 @@ def cmd_pipeline(args) -> int:
         return path
 
     # 1. instances
+    boards = functools.cache(lambda: _load_boxoban(args.boxoban))
+
     def build_split(path, split):
-        built = _build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, args.boxoban)
+        built = _build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, boards)
         generation.write_split(built, path.parent, force=True)
 
     splits = ("train", "test_iid", "test_ood")
@@ -636,6 +642,8 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
+        if isinstance(args.seed, UsageError):
+            raise args.seed
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

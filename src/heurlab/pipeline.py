@@ -71,7 +71,7 @@ class SamplingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "strategy", Strategy(self.strategy))  # a plain name is its strategy
-        if self.tau <= 0:
+        if not self.tau > 0:  # refuses NaN too
             raise ValueError("tau must be positive")
         if self.total_budget is not None and self.total_budget < 1:
             raise ValueError("total_budget must be positive")
@@ -146,7 +146,7 @@ def softmax(logits: Sequence[float]) -> list[float]:
 
 
 def planner_aware_probs(group: Sequence[TrainingExample], tau: float, c_variant: CVariant) -> list[float]:
-    if tau <= 0:
+    if not tau > 0:  # refuses NaN too
         raise ValueError("tau must be positive")
     return softmax([utility(e.g, e.plan_len, c_variant) / tau for e in group])
 

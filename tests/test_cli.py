@@ -99,6 +99,68 @@ def test_every_option_matches_the_recorded_table(monkeypatch):
     assert json.loads(json.dumps(_option_table())) == recorded
 
 
+def test_every_numeric_option_declares_a_rule():
+    # --seed is exempt: any integer is a valid seed.
+    cli.build_parser()
+    undeclared = [
+        (name, action.option_strings[0])
+        for name, parser in sorted(cli._SUBPARSERS.items())
+        for action in parser._actions
+        if action.type in (int, float, cli._comma_floats) and action.dest != "seed" and not hasattr(action, "rule")
+    ]
+    assert undeclared == []
+
+
+_RULE_CASES = [  # command, its other flags, config key, value, the usage error
+    ("eval", [], "jobs", "0", "--jobs must be positive, got 0"),
+    ("generate", [], "scale", "nan", "--scale must be finite and positive, got nan"),
+    ("pipeline", [], "scale", "nan", "--scale must be finite and positive, got nan"),
+    ("pipeline", [], "scale", "0", "--scale must be finite and positive, got 0.0"),
+    ("pipeline", [], "scale", "-1", "--scale must be finite and positive, got -1.0"),
+    ("sample", ["--strategy", "planner_aware"], "tau", "nan", "--tau must be positive, got nan"),
+    ("sample", ["--strategy", "planner_aware"], "tau", "-1", "--tau must be positive, got -1.0"),
+    ("sample", [], "budget", "0", "--budget must be positive, got 0"),
+    ("sample", [], "per_problem_m", "0", "--per-problem-m must be positive, got 0"),
+    ("sample", ["--strategy", "semdedup"], "clusters", "0", "--clusters must be positive, got 0"),
+    ("sample", ["--strategy", "semdedup"], "threshold", "nan", "--threshold must be finite, got nan"),
+    ("oracle-study", [], "margin", "nan", "--margin must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, extra, key, value, message",
+                         [pytest.param(*case, id=f"{case[0]}-{case[2]}={case[3]}") for case in _RULE_CASES])
+def test_a_value_outside_its_rule_exits_2_before_any_output(tmp_path, capsys, source, command, extra, key, value,
+                                                             message):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing"  # refused before any input is read
+    argv = {
+        "eval": ["eval", "--instances", missing, "--out", out],
+        "generate": ["generate", "--out", out],
+        "pipeline": ["pipeline", "--workdir", out],
+        "sample": ["sample", "--pool", missing, "--out", out],
+        "oracle-study": ["oracle-study", "--instances", missing, "--out", out],
+    }[command] + extra
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        argv += ["--config", _write_config(tmp_path / "cfg.ini", f"[{command}]\n{key} = {value}\n")]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"usage error: {message}\n" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_pipeline_refuses_a_nan_scale_before_writing_config(tmp_path, capsys):
+    # A config.json written first would refuse the rerun with a valid --scale.
+    wd = tmp_path / "wd"
+    wd.mkdir()
+    assert run_cli(["pipeline", "--workdir", wd, "--scale", "nan"]) == 2
+    assert "usage error: --scale must be finite and positive, got nan" in capsys.readouterr().err
+    assert list(wd.iterdir()) == []
+
+
 def test_argparse_failures_exit_2():
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
@@ -151,6 +213,27 @@ def test_generate_writes_one_directory_per_split(tmp_path, capsys):
     assert run_cli(argv) == 3
     assert "error:" in capsys.readouterr().err
     assert run_cli(argv + ["--force"]) == 0
+
+
+def test_sokoban_source_is_parsed_at_most_once_per_command(boxoban_file, tmp_path, monkeypatch):
+    loads = []
+    load = generation.load_boxoban
+    monkeypatch.setattr(generation, "load_boxoban", lambda path: loads.append(path) or load(path))
+    monkeypatch.setattr(generation, "build_sokoban_split", lambda split, seed, source, scale: source[:2])
+    assert run_cli(["generate", "--domain", "sokoban", "--out", tmp_path / "g", "--boxoban", boxoban_file]) == 0
+    assert len(loads) == 1
+
+    def stop(*args, **kwargs):
+        raise RuntimeError("stopped after the instance stages")
+
+    monkeypatch.setattr(evaluation, "compute_references", stop)
+    argv = ["pipeline", "--domain", "sokoban", "--workdir", tmp_path / "wd", "--boxoban", boxoban_file]
+    loads.clear()
+    assert run_cli(argv) == 3
+    assert len(loads) == 1
+    loads.clear()
+    assert run_cli(argv) == 3  # every instance stage is up to date
+    assert loads == []
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +682,16 @@ def test_env_seed_fallback(pool_file, tmp_path, monkeypatch):
     monkeypatch.delenv("HEURLAB_SEED")
     assert run_cli(["sample", "--pool", pool_file, "--out", b, "--seed", "17",
                     "--strategy", "planner_aware", "--budget", "8"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_explicit_seed_overrides_a_bad_env_seed(pool_file, tmp_path, monkeypatch):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    argv = ["sample", "--pool", pool_file, "--strategy", "planner_aware", "--budget", "8", "--seed", "17"]
+    monkeypatch.setenv("HEURLAB_SEED", "lucky")
+    assert run_cli(argv + ["--out", a]) == 0
+    monkeypatch.delenv("HEURLAB_SEED")
+    assert run_cli(argv + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -515,6 +515,11 @@ def test_sampling_spec_validation():
         SamplingSpec(total_budget=0)
     with pytest.raises(ValueError):
         SamplingSpec(per_problem_m=0)
+    # NaN weights would make every draw take the last remaining item.
+    with pytest.raises(ValueError, match="tau must be positive"):
+        SamplingSpec(tau=math.nan)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        planner_aware_probs(_fake_group("a", 4), math.nan, CVariant.LOG_RATIO)
 
 
 
