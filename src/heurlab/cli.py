@@ -31,11 +31,12 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-# Sampling defaults per domain, scaled alongside split sizes by --scale.
-DOMAIN_BUDGET = {Domain.MAZE: 12000, Domain.SOKOBAN: 8000, Domain.STP: 8000}
-DOMAIN_TAU = {Domain.MAZE: 2.0, Domain.SOKOBAN: 0.8, Domain.STP: 5.0}
-# The combined strategy favors a flatter draw on Sokoban.
-DOMAIN_COMBINED_TAU = {Domain.MAZE: 2.0, Domain.SOKOBAN: 5.0, Domain.STP: 5.0}
+# Pipeline sampling defaults per domain, in config order; --scale scales the budget like the split sizes.
+DOMAIN_DEFAULTS = {
+    Domain.MAZE: {"budget": 12000, "tau": 2.0, "combined_tau": 2.0},
+    Domain.SOKOBAN: {"budget": 8000, "tau": 0.8, "combined_tau": 5.0},  # combined favors a flatter draw
+    Domain.STP: {"budget": 8000, "tau": 5.0, "combined_tau": 5.0},
+}
 
 # Comparison rows of `pipeline`, in their default order: row -> (sampling
 # strategy, config key of its temperature or None for the default tau).
@@ -238,7 +239,7 @@ def _config_tokens(path: str, command: str) -> list[str]:
     The tokens are inserted before the user's own flags, so explicit flags win.
     """
     sub = _SUBPARSERS[command]
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)  # values are taken literally: '5%' stays '5%'
     loaded = cfg.read(path)
     if not loaded:
         raise UsageError(f"config file {path!r} not found")
@@ -278,27 +279,11 @@ def _merge_config(argv: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Shared helpers
 
-def _load_boxoban(path: str | None) -> list:
+def _boxoban(path: str | None) -> str:
+    """The ``--boxoban`` source, which Sokoban needs."""
     if not path:
         raise UsageError("Sokoban needs --boxoban pointing at a level file or directory")
-    p = Path(path)
-    if p.is_dir():
-        boards = []
-        for f in sorted(p.rglob("*.txt")):
-            boards.extend(generation.load_boxoban(f))
-        if not boards:
-            raise UsageError(f"no .txt level files under {path}")
-        return boards
-    return generation.load_boxoban(p)
-
-
-def _build_split(domain: Domain, split: str, seed: int, scale: float, jobs: int, boards):
-    """``boards()`` returns the Sokoban source boards; only a Sokoban split calls it."""
-    if domain is Domain.MAZE:
-        return generation.build_maze_split(split, seed, scale=scale, jobs=jobs)
-    if domain is Domain.STP:
-        return generation.build_stp_split(split, seed, scale=scale, jobs=jobs)
-    return generation.build_sokoban_split(split, seed, boards(), scale=scale)
+    return path
 
 
 def _evaluator(args, instances):
@@ -353,9 +338,9 @@ def cmd_generate(args) -> int:
     if unknown:
         raise UsageError(f"unknown splits {unknown}; {domain.value} has {list(catalogue)}")
     out_root = Path(args.out)
-    boards = functools.cache(lambda: _load_boxoban(args.boxoban))
+    boards = functools.cache(lambda: generation.load_boxoban(_boxoban(args.boxoban)))
     for split in names:
-        instances = _build_split(domain, split, args.seed, args.scale, args.jobs, boards)
+        instances = generation.build_split(domain, split, args.seed, args.scale, args.jobs, boards)
         out_dir = out_root / domain.value / split
         generation.write_split(instances, out_dir, force=args.force)
         print(f"{domain.value}/{split}: {len(instances)} instances -> {out_dir}")
@@ -487,19 +472,21 @@ def _pipeline_config(args, domain: Domain) -> dict:
     unknown = [s for s in strategies if s not in PIPELINE_ROWS]
     if unknown:
         raise UsageError(f"unknown strategies {unknown}; choose from {list(PIPELINE_ROWS)}")
-    return {
+    cfg = {
         "domain": domain.value,
         "scale": args.scale,
         "seed": args.seed,
         "strategies": strategies,
-        "budget": DOMAIN_BUDGET[domain] if args.budget is None else args.budget,
-        "tau": DOMAIN_TAU[domain] if args.tau is None else args.tau,
-        "combined_tau": DOMAIN_COMBINED_TAU[domain] if args.combined_tau is None else args.combined_tau,
+        **{key: default if getattr(args, key) is None else getattr(args, key)
+           for key, default in DOMAIN_DEFAULTS[domain].items()},
         "model_kind": args.model_kind,
         "k": args.k,
         "max_iterations": args.max_iterations,
         "max_wall_time": args.max_wall_time,
     }
+    if domain is Domain.SOKOBAN:  # a resume must read the same levels
+        cfg["boxoban"] = generation.source_hash(_boxoban(args.boxoban))
+    return cfg
 
 
 def cmd_pipeline(args) -> int:
@@ -510,7 +497,12 @@ def cmd_pipeline(args) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "config.json"
     if cfg_path.exists():
-        stored = json.loads(cfg_path.read_text(encoding="utf-8"))
+        try:
+            stored = json.loads(cfg_path.read_text(encoding="utf-8"))
+            if not isinstance(stored, dict):
+                raise ValueError(f"expected a JSON object, got {type(stored).__name__}")
+        except ValueError as exc:
+            raise ValueError(f"{cfg_path}: {exc}") from None
         if stored.get("config_hash") != content_hash(cfg):
             print(f"{workdir} was built with a different configuration; use a fresh --workdir", file=sys.stderr)
             return EXIT_RUNTIME
@@ -531,10 +523,10 @@ def cmd_pipeline(args) -> int:
         return path
 
     # 1. instances
-    boards = functools.cache(lambda: _load_boxoban(args.boxoban))
+    boards = functools.cache(lambda: generation.load_boxoban(args.boxoban))  # a Sokoban config has checked the path
 
     def build_split(path, split):
-        built = _build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, boards)
+        built = generation.build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, boards)
         generation.write_split(built, path.parent, force=True)
 
     splits = ("train", "test_iid", "test_ood")

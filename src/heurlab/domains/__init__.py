@@ -22,11 +22,7 @@ from .hungarian import hungarian_min_cost
 
 _MODULES = {Domain.MAZE: maze, Domain.SOKOBAN: sokoban, Domain.STP: stp}
 
-LEGENDS = {
-    Domain.MAZE: maze.LEGEND,
-    Domain.SOKOBAN: sokoban.LEGEND,
-    Domain.STP: stp.LEGEND,
-}
+LEGENDS = {domain: module.LEGEND for domain, module in _MODULES.items()}
 
 
 def successors(state, instance: PuzzleInstance):

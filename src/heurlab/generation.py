@@ -8,6 +8,7 @@ so split construction is reproducible and embarrassingly parallel.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 import string
 from dataclasses import dataclass
@@ -177,7 +178,34 @@ def generate_maze(width: int, height: int, filt: GenFilter, seed: int, id: str =
 # ---------------------------------------------------------------------------
 # Sokoban
 
+def level_files(path: str | Path) -> list[Path]:
+    """A Sokoban level source: the file itself, or every ``*.txt`` file under a directory, sorted."""
+    path = Path(path)
+    files = sorted(path.rglob("*.txt")) if path.is_dir() else [path]
+    if not files:
+        raise FileNotFoundError(f"no .txt level files under {path}")
+    return files
+
+
+def source_hash(path: str | Path) -> str:
+    """SHA-256 over the level files of a Sokoban source, each as its path
+    relative to a source directory (``.`` for a single file) and its bytes;
+    nothing is parsed."""
+    root = Path(path)
+    digest = hashlib.sha256()
+    for file in level_files(root):
+        data = file.read_bytes()
+        digest.update(f"{file.relative_to(root).as_posix()}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def load_boxoban(path: str | Path) -> list[PuzzleInstance]:
+    """The levels of a Sokoban source (see ``level_files``), file by file."""
+    return [puzzle for file in level_files(path) for puzzle in _read_level_file(file)]
+
+
+def _read_level_file(path: Path) -> list[PuzzleInstance]:
     """Parse a boxoban-layout file: ``; <index>`` header lines, then 10 board
     rows. Every ``ParseError`` starts with the file's path."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -428,9 +456,7 @@ def build_sokoban_split(split: str, master_seed: int, source: list[PuzzleInstanc
                 )
             except GenerationExhausted:
                 continue
-            instance = dataclasses.replace(instance, id=f"sokoban-{split}-{index:05d}")
-            instance.provenance["shuffle_seed"] = derive_seed(master_seed, "sokoban", split, "shuffle")
-            out.append(instance)
+            out.append(dataclasses.replace(instance, id=f"sokoban-{split}-{index:05d}"))
             got += 1
             index += 1
         if got < need:
@@ -438,6 +464,15 @@ def build_sokoban_split(split: str, master_seed: int, source: list[PuzzleInstanc
                 f"sokoban {split}: block B={block.boxes} needs {need} instances, pool yielded {got}"
             )
     return out
+
+
+def build_split(domain: Domain, split: str, master_seed: int, scale: float, jobs: int, boards) -> list[PuzzleInstance]:
+    """A catalogue split: maze and sliding-tile splits use ``jobs`` workers; only a Sokoban split calls ``boards()``."""
+    if domain is Domain.MAZE:
+        return build_maze_split(split, master_seed, scale=scale, jobs=jobs)
+    if domain is Domain.STP:
+        return build_stp_split(split, master_seed, scale=scale, jobs=jobs)
+    return build_sokoban_split(split, master_seed, boards(), scale=scale)
 
 
 # ---------------------------------------------------------------------------

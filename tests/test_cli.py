@@ -9,6 +9,7 @@ import contextlib
 import csv
 import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 import shutil
@@ -17,10 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from heurlab import cli, evaluation, generation, models, pipeline, util
+from heurlab import cli, evaluation, generation, models, oracle, pipeline, util
 from heurlab.domains import Domain, stp
+from heurlab.search import TieBreak
 from heurlab.util import atomic_write, read_jsonl
 
+from conftest import make_boxoban_fixture
 from test_acceptance import _normalized
 
 
@@ -234,6 +237,57 @@ def test_sokoban_source_is_parsed_at_most_once_per_command(boxoban_file, tmp_pat
     loads.clear()
     assert run_cli(argv) == 3  # every instance stage is up to date
     assert loads == []
+
+
+def test_generate_names_an_empty_level_directory(tmp_path, capsys):
+    (tmp_path / "levels").mkdir()
+    argv = ["generate", "--domain", "sokoban", "--out", tmp_path / "g", "--boxoban", tmp_path / "levels"]
+    assert run_cli(argv) == 3
+    assert f"error: no .txt level files under {tmp_path / 'levels'}" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+def _sokoban_instance_stages(monkeypatch):
+    """Stop a Sokoban pipeline after its instance stages, which take two levels each."""
+    def stop(*args, **kwargs):
+        raise RuntimeError("stopped after the instance stages")
+
+    monkeypatch.setattr(generation, "build_sokoban_split", lambda split, seed, source, scale: source[:2])
+    monkeypatch.setattr(evaluation, "compute_references", stop)
+
+
+def test_sokoban_pipeline_records_its_source(tmp_path, monkeypatch, capsys):
+    _sokoban_instance_stages(monkeypatch)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    make_boxoban_fixture(a, count=3, n_boxes=4, seed=1)
+    make_boxoban_fixture(b, count=3, n_boxes=4, seed=2)
+    wd = tmp_path / "wd"
+    argv = ["pipeline", "--domain", "sokoban", "--workdir", wd, "--boxoban"]
+
+    assert run_cli(argv[:-1]) == 2  # no source: refused before config.json is written
+    assert "usage error: Sokoban needs --boxoban" in capsys.readouterr().err
+    assert not (wd / "config.json").exists()
+
+    assert run_cli(argv + [a]) == 3
+    capsys.readouterr()
+    stored = json.loads((wd / "config.json").read_text())
+    assert stored["config"]["boxoban"] == generation.source_hash(a)
+    train = (wd / "instances" / "train" / "manifest.jsonl").read_bytes()
+
+    # Another source is another configuration, refused before any stage runs.
+    assert run_cli(argv + [b]) == 3
+    captured = capsys.readouterr()
+    assert "was built with a different configuration" in captured.err
+    assert _stage_markers(captured.out) == []
+    assert (wd / "instances" / "train" / "manifest.jsonl").read_bytes() == train
+
+    # The same bytes under another name are the same source.
+    shutil.copy(a, tmp_path / "renamed.txt")
+    for source in (a, tmp_path / "renamed.txt"):
+        assert run_cli(argv + [source]) == 3
+        captured = capsys.readouterr()
+        assert "resuming: configuration matches" in captured.out
+        assert ("instances/test_ood", "up to date") in _stage_markers(captured.out)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +681,75 @@ def test_oracle_study_refuses_no_noise_seeds(split_dir, tmp_path, capsys, repeat
 
 
 # ---------------------------------------------------------------------------
+# ablation flags reach the library parameter they set
+
+def _spy(monkeypatch, owner, name):
+    """The arguments, defaults filled in, of every call to ``owner.name``; each call still runs."""
+    calls = []
+    original = getattr(owner, name)
+    signature = inspect.signature(original)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("flags, tie_break", [
+    ([], TieBreak.LARGER_G), (["--tie-break", "smaller_g"], TieBreak.SMALLER_G),
+])
+def test_solve_tie_break_reaches_every_search(split_dir, tmp_path, monkeypatch, flags, tie_break):
+    searches = _spy(monkeypatch, evaluation, "astar")
+    assert run_cli(["solve", "--instances", split_dir, "--out", tmp_path / "r.jsonl"] + flags) == 0
+    assert len(searches) == 12
+    assert all(call["tie_break"] is tie_break for call in searches)
+
+
+@pytest.mark.parametrize("flags, tie_break, floor_at_zero, round_predictions", [
+    ([], TieBreak.LARGER_G, True, False),
+    (["--tie-break", "smaller_g"], TieBreak.SMALLER_G, True, False),
+    (["--no-residual-floor"], TieBreak.LARGER_G, False, False),
+    (["--round-predictions"], TieBreak.LARGER_G, True, True),
+])
+def test_eval_ablation_flags_reach_the_learned_heuristic_and_its_searches(
+        split_dir, model_file, tmp_path, monkeypatch, flags, tie_break, floor_at_zero, round_predictions):
+    solves = _spy(monkeypatch, evaluation, "solve_all")
+    learned_searches = _spy(monkeypatch, evaluation, "astar_steps")  # the references are quick astar solves
+    argv = ["eval", "--instances", split_dir, "--out", tmp_path / "rep", "--model", model_file]
+    assert run_cli(argv + flags) == 0
+    learned = [call["evaluator"] for call in solves if isinstance(call["evaluator"], models.LearnedHeuristic)]
+    assert len(learned) == 1
+    assert (learned[0].floor_at_zero, learned[0].round_predictions) == (floor_at_zero, round_predictions)
+    assert len(learned_searches) == 12
+    assert all(call["tie_break"] is tie_break for call in learned_searches)
+
+
+@pytest.mark.parametrize("flags, per_query, clamp_at_zero", [
+    ([], False, True), (["--per-query"], True, True), (["--no-clamp"], False, False),
+])
+def test_oracle_study_noise_flags_reach_every_noise_spec(split_dir, tmp_path, monkeypatch, flags, per_query,
+                                                         clamp_at_zero):
+    specs = _spy(monkeypatch, oracle, "NoiseSpec")
+    argv = ["oracle-study", "--instances", split_dir, "--out", tmp_path / "o", "--sigmas", "2", "--noise-seeds", "1"]
+    assert run_cli(argv + flags) == 0
+    noisy = [spec for spec in specs if spec["sigma"] > 0]
+    assert len(noisy) == 3  # one per section
+    assert all((spec["per_query"], spec["clamp_at_zero"]) == (per_query, clamp_at_zero) for spec in noisy)
+
+
+@pytest.mark.parametrize("kind", ["knn", "linear"])
+def test_train_model_kind_reaches_the_model_file(pool_file, tmp_path, kind):
+    out = tmp_path / "model.json"
+    assert run_cli(["train", "--pool", pool_file, "--out", out, "--model-kind", kind]) == 0
+    assert json.loads(out.read_text())["kind"] == kind
+    assert models.load_model(out).kind is models.ModelKind(kind)
+
+
+# ---------------------------------------------------------------------------
 # config file and environment seed
 
 def _write_config(path, text):
@@ -661,6 +784,14 @@ def test_config_rejects_unknown_keys(pool_file, tmp_path, capsys):
                     "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
     assert "nonsense" in capsys.readouterr().err
+
+
+def test_config_values_are_taken_literally(tmp_path, capsys):
+    # A '%' is not interpolation syntax: the value reaches its option's own check.
+    cfg = _write_config(tmp_path / "cfg.ini", "[generate]\nsplits = 5%\n")
+    assert run_cli(["generate", "--config", cfg, "--out", tmp_path / "g"]) == 2
+    assert "usage error: unknown splits ['5%']" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_config_boolean_flags(tmp_path):
@@ -780,6 +911,34 @@ def test_pipeline_config_bytes_are_unchanged(tmp_path):
         '"semdedup", "semdedup_planner"], "budget": 12000, "tau": 1.5, "combined_tau": 2.0, "model_kind": "knn", '
         '"k": 8, "max_iterations": null, "max_wall_time": null}'
     )
+
+
+@pytest.mark.parametrize("domain, budget, tau, combined_tau", [
+    (Domain.MAZE, 12000, 2.0, 2.0), (Domain.SOKOBAN, 8000, 0.8, 5.0), (Domain.STP, 8000, 5.0, 5.0),
+])
+def test_pipeline_domain_defaults(tmp_path, domain, budget, tau, combined_tau):
+    levels = tmp_path / "levels.txt"
+    levels.write_text("read, never parsed\n")
+    argv = ["pipeline", "--workdir", str(tmp_path), "--domain", domain.value, "--boxoban", str(levels)]
+    cfg = cli._pipeline_config(cli.build_parser().parse_args(argv), domain)
+    assert list(cfg)[4:7] == ["budget", "tau", "combined_tau"]
+    assert (cfg["budget"], cfg["tau"], cfg["combined_tau"]) == (budget, tau, combined_tau)
+    assert ("boxoban" in cfg) == (domain is Domain.SOKOBAN)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{\n  "config": {\n    "dom', "Unterminated string starting at: line 3 column 5"),  # a truncated write
+    ("[]\n", "expected a JSON object, got list"),
+], ids=["truncated", "list"])
+def test_pipeline_names_an_unreadable_config_file(tmp_path, capsys, text, reason):
+    wd = tmp_path / "wd"
+    wd.mkdir()
+    (wd / "config.json").write_text(text)
+    assert run_cli(["pipeline", "--workdir", wd, "--scale", "0.01", "--strategies", "uniform"]) == 3
+    captured = capsys.readouterr()
+    assert f"error: {wd / 'config.json'}: {reason}" in captured.err
+    assert _stage_markers(captured.out) == []
+    assert sorted(p.name for p in wd.iterdir()) == ["config.json"]
 
 
 def test_atomic_write_keeps_the_old_file_when_the_writer_fails(tmp_path):

@@ -1,6 +1,7 @@
 """Instance generation: filters, determinism, corpora, split folders."""
 
 import random
+import re
 
 import pytest
 
@@ -376,6 +377,74 @@ def test_build_sokoban_split_exhausts_small_pools(tmp_path):
     blocks = (SplitSpec(20, boxes=2, filt=generation._sokoban_filter(0, 7000)),)
     with pytest.raises(GenerationExhausted):
         generation.build_sokoban_split("train", MASTER_SEED, source, blocks=blocks)
+
+
+def test_build_split_maps_each_domain_to_its_builder(boxoban_file):
+    def unread():
+        raise AssertionError("only a Sokoban split reads the level source")
+
+    def same(a, b):
+        return [(i.id, i.board, i.start_state) for i in a] == [(i.id, i.board, i.start_state) for i in b]
+
+    maze = generation.build_split(Domain.MAZE, "test_iid", MASTER_SEED, 0.004, 1, unread)
+    assert len(maze) == 2 and same(maze, generation.build_maze_split("test_iid", MASTER_SEED, scale=0.004))
+    tiles = generation.build_split(Domain.STP, "train", MASTER_SEED, 0.002, 2, unread)
+    assert len(tiles) == 2 and same(tiles, build_stp_split("train", MASTER_SEED, scale=0.002))
+    source = load_boxoban(boxoban_file)
+    reads = []
+    boxes = generation.build_split(Domain.SOKOBAN, "train", MASTER_SEED, 0.002, 2, lambda: reads.append(1) or source)
+    assert reads == [1]
+    assert len(boxes) == 2 and same(boxes, generation.build_sokoban_split("train", MASTER_SEED, source, scale=0.002))
+    assert not any("shuffle_seed" in inst.provenance for inst in boxes)
+
+
+def _level_tree(root):
+    """A level directory: a top-level file, a nested one and a file that is not ``*.txt``."""
+    (root / "sub").mkdir(parents=True)
+    make_boxoban_fixture(root / "b.txt", count=2, n_boxes=4, seed=7)
+    make_boxoban_fixture(root / "sub" / "a.txt", count=3, n_boxes=4, seed=8)
+    (root / "notes.md").write_text("not a level file\n")
+    return root
+
+
+def test_a_level_source_is_a_file_or_every_txt_file_under_a_directory(tmp_path):
+    root = _level_tree(tmp_path / "levels")
+    files = generation.level_files(root)
+    assert files == [root / "b.txt", root / "sub" / "a.txt"]
+    assert generation.level_files(root / "b.txt") == [root / "b.txt"]
+    assert generation.level_files(str(root)) == files
+    puzzles = load_boxoban(root)
+    assert len(puzzles) == 5
+    assert [(p.id, p.provenance) for p in puzzles] == [(p.id, p.provenance) for f in files for p in load_boxoban(f)]
+    assert puzzles == load_boxoban(root / "b.txt") + load_boxoban(root / "sub" / "a.txt")
+
+
+def test_an_empty_level_directory_fails_naming_it(tmp_path):
+    (tmp_path / "levels" / "sub").mkdir(parents=True)
+    (tmp_path / "levels" / "sub" / "notes.md").write_text("no levels here\n")
+    for read in (generation.level_files, load_boxoban, generation.source_hash):
+        with pytest.raises(FileNotFoundError, match=re.escape(f"no .txt level files under {tmp_path / 'levels'}")):
+            read(tmp_path / "levels")
+
+
+def test_source_hash_covers_bytes_and_relative_paths_without_parsing(tmp_path):
+    a = tmp_path / "a.txt"
+    a.write_text("; 0\nnot a board\n")  # never parsed
+    moved = tmp_path / "elsewhere" / "b.txt"
+    moved.parent.mkdir()
+    moved.write_bytes(a.read_bytes())
+    assert generation.source_hash(a) == generation.source_hash(moved)  # a single file's name is not hashed
+    moved.write_text("; 0\nnot a board either\n")
+    assert generation.source_hash(a) != generation.source_hash(moved)
+
+    root = _level_tree(tmp_path / "levels")
+    copy = _level_tree(tmp_path / "copy")
+    assert generation.source_hash(root) == generation.source_hash(copy)
+    (copy / "notes.md").write_text("edited\n")  # not a level file
+    assert generation.source_hash(root) == generation.source_hash(copy)
+    (copy / "sub" / "a.txt").rename(copy / "sub" / "c.txt")  # same bytes, same order, another path
+    assert generation.source_hash(root) != generation.source_hash(copy)
+    assert generation.source_hash(root) != generation.source_hash(root / "b.txt")
 
 
 def test_symbol_table_is_seeded_and_sorted():

@@ -6,12 +6,16 @@ breaks the traced benchmark run; these tests make it fail the test suite
 instead. They import the tracer and edit nothing under ``perfbench/``.
 """
 
+import ast
 import importlib.util
+import inspect
+import types
 from pathlib import Path
 
 from conftest import make_boxoban_fixture
 
 from heurlab import cli, evaluation, generation, oracle, pipeline, util
+from heurlab.domains import sokoban
 
 TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
@@ -125,3 +129,26 @@ def test_quick_and_learned_searches_call_the_traced_domain_bindings(maze_train_1
     assert quick["successors"] > 0 and quick["quick_heuristic"] > 0
     assert learned["successors"] > 0 and learned["feature_vector"] > 0
     assert all(calls(name) > 0 for name in quick)
+
+
+def test_every_traced_import_is_called_by_its_module():
+    # A module that imports a traced function, rather than defining it, is
+    # traced only while it calls the function by that name: after a refactor
+    # leaves the import unused, the binding still resolves and the tracer
+    # counts 0 without failing.
+    traced = _load_traced()
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer)
+        patched = list(tracer._patched)
+    finally:
+        tracer.restore()
+    imported = {(owner, attr) for owner, attr, original in patched
+                if isinstance(owner, types.ModuleType) and original.__module__ != owner.__name__}
+    expected = {(generation, "astar"), (evaluation, "astar"), (sokoban, "hungarian_min_cost")}
+    expected |= {(module, "read_jsonl") for module in (cli, generation, pipeline)}
+    expected |= {(module, "write_jsonl") for module in (cli, generation, pipeline, evaluation)}
+    assert imported >= expected
+    for owner, attr in imported:
+        calls = [node.func for node in ast.walk(ast.parse(inspect.getsource(owner))) if isinstance(node, ast.Call)]
+        assert any(isinstance(f, ast.Name) and f.id == attr for f in calls), f"{owner.__name__} never calls {attr}"
