@@ -92,12 +92,33 @@ FINITE_POSITIVE = _rule("finite and positive", lambda v: 0 < v < math.inf)
 FINITE_NONNEGATIVE = _rule("finite and nonnegative", lambda v: 0 <= v < math.inf)
 
 
+def _is_section_selector(text: str) -> bool:
+    try:
+        oracle.parse_sections(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _comma_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _comma_names(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _name_list(flag: str, text: str, known, every: list[str] | None = None) -> list[str]:
+    """The names of ``flag``'s comma list ``text``, each one of ``known`` and
+    none twice; an empty list stands for ``every``, and is refused without it."""
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise UsageError(f"unknown {flag.lstrip('-')} {unknown}; choose from {list(known)}")
+    repeated = list(dict.fromkeys(n for n in names if names.count(n) > 1))
+    if repeated:
+        raise UsageError(f"{flag} names {repeated} more than once")
+    if names:
+        return names
+    if every is None:
+        raise UsageError(f"{flag} names nothing; choose from {list(known)}")
+    return every
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-problem-m", type=int, default=unset, action=POSITIVE,
                    help="per-instance size (alternative to --budget)")
     p.add_argument("--section", default=unset,
+                   action=_rule("all, initial, middle, end or ~<section>", _is_section_selector),
                    help="section_split selector: all, initial, middle, end or ~<section> for the other two")
     p.add_argument("--clusters", type=int, default=unset, dest="n_clusters", metavar="CLUSTERS", action=POSITIVE,
                    help="k-means cluster count of semdedup and of combined's per-instance dedup "
@@ -333,10 +355,7 @@ def _result_row(instance_id: str, res) -> dict:
 def cmd_generate(args) -> int:
     domain = Domain(args.domain)
     catalogue = generation.SPLIT_CATALOGUE[domain]
-    names = _comma_names(args.splits) or list(catalogue)
-    unknown = [n for n in names if n not in catalogue]
-    if unknown:
-        raise UsageError(f"unknown splits {unknown}; {domain.value} has {list(catalogue)}")
+    names = _name_list("--splits", args.splits, catalogue, every=list(catalogue))
     out_root = Path(args.out)
     boards = functools.cache(lambda: generation.load_boxoban(_boxoban(args.boxoban)))
     for split in names:
@@ -400,15 +419,19 @@ def cmd_extract(args) -> int:
 
 def cmd_sample(args) -> int:
     strategy = pipeline.Strategy(args.strategy)
-    options = [a for a in _SUBPARSERS["sample"]._actions if a.default is argparse.SUPPRESS and hasattr(args, a.dest)]
-    given = {a.dest: getattr(args, a.dest) for a in options}
-    ignored = [a.option_strings[0] for a in options if a.dest not in pipeline.READS[strategy]]
+    actions = _SUBPARSERS["sample"]._actions
+    flag = {a.dest: a.option_strings[0] for a in actions if a.option_strings}
+    given = {a.dest: getattr(args, a.dest) for a in actions if a.default is argparse.SUPPRESS and hasattr(args, a.dest)}
+    ignored = [flag[dest] for dest in given if dest not in pipeline.READS[strategy]]
     if ignored:
         raise UsageError(f"--strategy {strategy.value} does not read {', '.join(ignored)}")
     if "total_budget" in given and "per_problem_m" in given:
         raise UsageError("give --budget or --per-problem-m, not both: the budget would win")
-    pool = pipeline.read_pool(args.pool)
     spec = pipeline.SamplingSpec(strategy, seed=args.seed, **given)
+    lacking = pipeline.unmet_needs(spec, flag.get)
+    if lacking:
+        raise UsageError(f"--strategy {strategy.value} needs {' and '.join(lacking)}")
+    pool = pipeline.read_pool(args.pool)
     selection = pipeline.run_strategy(pool, spec)
     pipeline.write_pool(selection, args.out)
     print(f"{args.strategy}: {len(selection)} of {len(pool)} examples -> {args.out}")
@@ -468,10 +491,7 @@ def cmd_export_prompts(args) -> int:
 # End-to-end pipeline with stage checkpoints
 
 def _pipeline_config(args, domain: Domain) -> dict:
-    strategies = _comma_names(args.strategies)
-    unknown = [s for s in strategies if s not in PIPELINE_ROWS]
-    if unknown:
-        raise UsageError(f"unknown strategies {unknown}; choose from {list(PIPELINE_ROWS)}")
+    strategies = _name_list("--strategies", args.strategies, PIPELINE_ROWS)
     cfg = {
         "domain": domain.value,
         "scale": args.scale,

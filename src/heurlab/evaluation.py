@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .domains import PuzzleInstance
 from .search import HeuristicEvaluator, QuickHeuristic, SearchLimits, SearchResult, TieBreak, astar, astar_steps
-from .util import atomic_write, content_hash, map_tasks, write_jsonl
+from .util import atomic_write, content_hash, map_tasks, serial_sum, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def reference_from_record(rec: dict) -> ReferenceSolution:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return serial_sum(values) / len(values) if values else 0.0
 
 
 def compute_metrics(results: Mapping[str, SearchResult], references: Mapping[str, ReferenceSolution]) -> MetricsReport:
@@ -208,15 +208,11 @@ def compute_metrics(results: Mapping[str, SearchResult], references: Mapping[str
 
     solved = [row for row in rows if row["ilr"] is not None]
     optimal = [row for row in solved if row["optimal"]]
-    # Added left to right: sum() compensates float rounding from Python 3.12 on.
-    swc_total = 0.0
-    for row in rows:
-        swc_total += row["swc"]
     n_total = len(rows)
     return MetricsReport(
         ilr_on_solved=_mean([row["ilr"] for row in solved]),
         ilr_on_optimal=_mean([row["ilr"] for row in optimal]),
-        swc=swc_total / n_total if n_total else 0.0,
+        swc=_mean([row["swc"] for row in rows]),
         optimal_pct=100.0 * len(optimal) / n_total if n_total else 0.0,
         itr_on_solved=_mean([row["itr"] for row in solved]),
         itr_on_optimal=_mean([row["itr"] for row in optimal]),
@@ -244,8 +240,8 @@ def mean_over_reports(reports: Sequence[MetricsReport]) -> dict:
     aggregate = {}
     for key in RUN_METRICS:
         values = [getattr(report, key) for report in reports]
-        m = sum(values) / len(values)
-        var = sum((v - m) ** 2 for v in values) / len(values)
+        m = serial_sum(values) / len(values)
+        var = serial_sum((v - m) ** 2 for v in values) / len(values)
         aggregate[key] = m
         aggregate[key + "_std"] = var**0.5
     return aggregate

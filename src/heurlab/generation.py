@@ -8,6 +8,7 @@ so split construction is reproducible and embarrassingly parallel.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import random
 import string
@@ -395,74 +396,55 @@ def scaled_count(count: int, scale: float) -> int:
     return max(1, round(count * scale))
 
 
-def _expand_blocks(blocks: tuple[SplitSpec, ...], split: str, master_seed: int, scale: float):
-    tasks = []
-    index = 0
-    for block in blocks:
-        for _ in range(scaled_count(block.count, scale)):
-            tasks.append((split, master_seed, index, block))
-            index += 1
-    return tasks
+def _indexed_blocks(blocks: tuple[SplitSpec, ...], scale: float) -> list[tuple[int, SplitSpec]]:
+    """A split's instances in order: (index, block) once per scaled count of each block."""
+    return list(enumerate(block for block in blocks for _ in range(scaled_count(block.count, scale))))
 
 
-def _maze_worker(task):
-    split, master_seed, index, block = task
-    return generate_maze(
-        block.size, block.size, block.filt,
-        seed=derive_seed(master_seed, "maze", split, index),
-        id=f"maze-{split}-{index:05d}",
-    )
+def _generate(domain: Domain, split: str, master_seed: int, task: tuple[int, SplitSpec]) -> PuzzleInstance:
+    """Instance ``index`` of a maze or sliding-tile split, seeded by its index."""
+    index, block = task
+    seed = derive_seed(master_seed, domain.value, split, index)
+    id = f"{domain.value}-{split}-{index:05d}"
+    if domain is Domain.MAZE:
+        return generate_maze(block.size, block.size, block.filt, seed=seed, id=id)
+    return generate_stp(block.size, block.filt, seed=seed, id=id)
 
 
-def _stp_worker(task):
-    split, master_seed, index, block = task
-    return generate_stp(
-        block.size, block.filt,
-        seed=derive_seed(master_seed, "stp", split, index),
-        id=f"stp-{split}-{index:05d}",
-    )
+def _build_generated(domain: Domain, split: str, master_seed: int, scale: float, jobs: int,
+                     blocks: tuple[SplitSpec, ...]) -> list[PuzzleInstance]:
+    tasks = _indexed_blocks(blocks, scale)
+    return map_tasks(functools.partial(_generate, domain, split, master_seed), tasks, jobs, chunksize=4)
 
 
 def build_maze_split(split: str, master_seed: int, scale: float = 1.0, jobs: int = 1,
                      blocks: tuple[SplitSpec, ...] | None = None) -> list[PuzzleInstance]:
-    tasks = _expand_blocks(blocks or MAZE_SPLITS[split], split, master_seed, scale)
-    return map_tasks(_maze_worker, tasks, jobs, chunksize=4)
+    return _build_generated(Domain.MAZE, split, master_seed, scale, jobs, blocks or MAZE_SPLITS[split])
 
 
 def build_stp_split(split: str, master_seed: int, scale: float = 1.0, jobs: int = 1) -> list[PuzzleInstance]:
-    tasks = _expand_blocks(STP_SPLITS[split], split, master_seed, scale)
-    return map_tasks(_stp_worker, tasks, jobs, chunksize=4)
+    return _build_generated(Domain.STP, split, master_seed, scale, jobs, STP_SPLITS[split])
 
 
 def build_sokoban_split(split: str, master_seed: int, source: list[PuzzleInstance],
                         scale: float = 1.0, blocks: tuple[SplitSpec, ...] | None = None) -> list[PuzzleInstance]:
-    """Shuffle the boxoban pool with a derived seed, then walk it block by
-    block, subsampling boxes/docks and filtering until each block is filled."""
-    blocks = blocks or SOKOBAN_SPLITS[split]
-    order = list(range(len(source)))
-    random.Random(derive_seed(master_seed, "sokoban", split, "shuffle")).shuffle(order)
+    """Shuffle the boxoban pool with a derived seed; each instance in turn
+    takes the next levels until one of its block's box subsets passes the filter."""
+    levels = list(source)
+    random.Random(derive_seed(master_seed, "sokoban", split, "shuffle")).shuffle(levels)
+    remaining = iter(levels)
     out: list[PuzzleInstance] = []
-    cursor = 0
-    index = 0
-    for block in blocks:
-        need = scaled_count(block.count, scale)
-        got = 0
-        while got < need and cursor < len(order):
-            base = source[order[cursor]]
-            cursor += 1
+    for index, block in _indexed_blocks(blocks or SOKOBAN_SPLITS[split], scale):
+        seed = derive_seed(master_seed, "sokoban", split, index)
+        for base in remaining:
             try:
-                instance = subsample_boxes(
-                    base, block.boxes, seed=derive_seed(master_seed, "sokoban", split, index), filt=block.filt
-                )
+                instance = subsample_boxes(base, block.boxes, seed=seed, filt=block.filt)
             except GenerationExhausted:
                 continue
             out.append(dataclasses.replace(instance, id=f"sokoban-{split}-{index:05d}"))
-            got += 1
-            index += 1
-        if got < need:
-            raise GenerationExhausted(
-                f"sokoban {split}: block B={block.boxes} needs {need} instances, pool yielded {got}"
-            )
+            break
+        else:
+            raise GenerationExhausted(f"sokoban {split}: the pool ran out at instance {index} (B={block.boxes})")
     return out
 
 

@@ -25,7 +25,7 @@ from . import domains
 from .domains import Domain, PuzzleInstance
 from .oracle import SectionLabel, parse_sections, section_of
 from .search import SearchResult
-from .util import convert_records, derive_seed, read_jsonl, write_jsonl
+from .util import convert_records, derive_seed, read_jsonl, serial_sum, write_jsonl
 from .generation import stp_symbol_table
 
 
@@ -141,7 +141,7 @@ def utility(g: int, plan_len: int, c_variant: CVariant = CVariant.LOG_RATIO) -> 
 def softmax(logits: Sequence[float]) -> list[float]:
     top = max(logits)
     exps = [math.exp(x - top) for x in logits]
-    total = sum(exps)
+    total = serial_sum(exps)
     return [e / total for e in exps]
 
 
@@ -159,7 +159,7 @@ def weighted_sample_without_replacement(items: Sequence, weights: Sequence[float
     w = [float(x) for x in weights]
     picked = []
     for _ in range(m):
-        total = sum(w[i] for i in alive)
+        total = serial_sum(w[i] for i in alive)
         r = rng.random() * total
         acc = 0.0
         chosen_pos = len(alive) - 1
@@ -473,6 +473,22 @@ READS = {
     Strategy.SECTION_SPLIT: frozenset({"total_budget", "section"}),
 }
 
+# The SamplingSpec fields each strategy needs: at least one of each group set.
+NEEDS = {
+    Strategy.UNIFORM: (("total_budget", "per_problem_m"),),
+    Strategy.PLANNER_AWARE: (("total_budget", "per_problem_m"),),
+    Strategy.COMBINED: (("total_budget", "per_problem_m"),),
+    Strategy.SEMDEDUP: (("total_budget",),),
+    Strategy.SECTION_SPLIT: (("section",), ("total_budget",)),
+}
+
+
+def unmet_needs(spec: SamplingSpec, name=str) -> list[str]:
+    """Each ``NEEDS`` group of ``spec``'s strategy that ``spec`` leaves unset,
+    as its fields written by ``name`` and joined by ``or``."""
+    return [" or ".join(map(name, group)) for group in NEEDS[spec.strategy]
+            if all(getattr(spec, field) is None for field in group)]
+
 
 def run_strategy(pool: Sequence[TrainingExample], spec: SamplingSpec) -> list[TrainingExample]:
     """Select from ``pool`` as ``spec`` says.
@@ -484,17 +500,14 @@ def run_strategy(pool: Sequence[TrainingExample], spec: SamplingSpec) -> list[Tr
     m = ceil(budget / #instances), taking precedence over ``per_problem_m``,
     and the overshoot is then trimmed uniformly.
     """
+    lacking = unmet_needs(spec)
+    if lacking:
+        raise ValueError(f"{spec.strategy.value} selection needs {' and '.join(lacking)}")
     if spec.strategy is Strategy.SECTION_SPLIT:
-        if spec.section is None or spec.total_budget is None:
-            raise ValueError("section splits need section and total_budget")
         return build_section_split(pool, spec.section, spec.total_budget, spec.seed)
     if spec.strategy is Strategy.SEMDEDUP:
-        if spec.total_budget is None:
-            raise ValueError("semdedup selection is budget-global; set total_budget")
         return semdedup_select(pool, spec.total_budget, spec.n_clusters, spec.similarity_threshold, spec.seed)
 
-    if spec.total_budget is None and spec.per_problem_m is None:
-        raise ValueError("sampling needs total_budget or per_problem_m")
     draw = _DRAWS[spec.strategy]
     groups = group_by_instance(pool)
     m = spec.per_problem_m if spec.total_budget is None else per_problem_m(spec.total_budget, len(groups))

@@ -1,5 +1,5 @@
-"""Small shared utilities: seed derivation, deterministic noise, crash-safe
-files, JSONL files and the serial-or-process-pool map."""
+"""Small shared utilities: seed derivation, left-to-right float sums,
+deterministic noise, crash-safe files, JSONL files and the serial-or-process-pool map."""
 
 from __future__ import annotations
 
@@ -21,6 +21,19 @@ def derive_seed(*parts: object) -> int:
     text = ":".join(str(p) for p in parts)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def serial_sum(values: Iterable[float]) -> float:
+    """The float total of ``values``, added left to right.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on, so the
+    same values can total to other last bits on another interpreter; this is
+    the builtin's result before 3.12 on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def unit_normal(seed: int, key: bytes, draw: int = 0) -> float:

@@ -239,6 +239,40 @@ def test_sokoban_source_is_parsed_at_most_once_per_command(boxoban_file, tmp_pat
     assert loads == []
 
 
+def _unbuilt(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("no split is built for a refused name list")
+
+    monkeypatch.setattr(generation, "build_split", build)
+
+
+@pytest.mark.parametrize("splits, message", [
+    ("train,train", "--splits names ['train'] more than once"),
+    ("val, test_iid,val,test_iid", "--splits names ['val', 'test_iid'] more than once"),
+    ("train,bogus", "unknown splits ['bogus']"),
+], ids=["repeat", "two-repeats", "unknown"])
+def test_generate_refuses_a_repeated_or_unknown_split(tmp_path, capsys, monkeypatch, splits, message):
+    _unbuilt(monkeypatch)
+    assert run_cli(["generate", "--splits", splits, "--out", tmp_path / "g"]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("strategies, message", [
+    (",", "--strategies names nothing"),
+    ("", "--strategies names nothing"),
+    ("uniform,uniform", "--strategies names ['uniform'] more than once"),
+    ("uniform,psychic", "unknown strategies ['psychic']"),
+], ids=["comma", "blank", "repeat", "unknown"])
+def test_pipeline_refuses_an_empty_repeated_or_unknown_strategy_list(tmp_path, capsys, monkeypatch, strategies,
+                                                                      message):
+    _unbuilt(monkeypatch)
+    wd = tmp_path / "wd"
+    assert run_cli(["pipeline", "--workdir", wd, "--scale", "0.01", "--strategies", strategies]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (wd / "config.json").exists()
+
+
 def test_generate_names_an_empty_level_directory(tmp_path, capsys):
     (tmp_path / "levels").mkdir()
     argv = ["generate", "--domain", "sokoban", "--out", tmp_path / "g", "--boxoban", tmp_path / "levels"]
@@ -498,8 +532,42 @@ def test_solve_rejects_a_model_of_another_domain(tile_split_dir, model_file, tmp
 def test_sample_section_split_needs_section(pool_file, tmp_path, capsys):
     code = run_cli(["sample", "--pool", pool_file, "--out", str(tmp_path / "s.jsonl"),
                     "--strategy", "section_split", "--budget", "9"])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert code == 2
+    assert "usage error: --strategy section_split needs --section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "semdedup"], "--strategy semdedup needs --budget"),
+    (["--strategy", "section_split", "--budget", "5"], "--strategy section_split needs --section"),
+    (["--strategy", "section_split"], "--strategy section_split needs --section and --budget"),
+    (["--strategy", "uniform"], "--strategy uniform needs --budget or --per-problem-m"),
+    (["--strategy", "planner_aware", "--tau", "2"], "--strategy planner_aware needs --budget or --per-problem-m"),
+    (["--strategy", "section_split", "--budget", "5", "--section", "foo"],
+     "--section must be all, initial, middle, end or ~<section>, got foo"),
+], ids=["semdedup", "section_split-no-section", "section_split-neither", "uniform", "planner_aware", "bad-section"])
+def test_sample_names_a_missing_or_bad_option_before_reading_the_pool(tmp_path, capsys, monkeypatch, flags, message):
+    def unread(path):
+        raise AssertionError("the pool is read only once the options are complete")
+
+    monkeypatch.setattr(pipeline, "read_pool", unread)
+    out = tmp_path / "s.jsonl"
+    assert run_cli(["sample", "--pool", tmp_path / "missing.jsonl", "--out", out, *flags]) == 2
+    assert f"usage error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_section_shortfall_is_a_runtime_failure(pool_file, tmp_path, capsys):
+    out = tmp_path / "s.jsonl"
+    argv = ["sample", "--pool", pool_file, "--out", out, "--strategy", "section_split", "--section", "end"]
+    assert run_cli(argv + ["--budget", "100000"]) == 3
+    assert re.search(r"error: section 'end' holds \d+ examples, \d+ short of 100000", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_every_needed_sample_field_is_one_the_strategy_reads():
+    for strategy, groups in pipeline.NEEDS.items():
+        assert {field for group in groups for field in group} <= pipeline.READS[strategy], strategy
+    assert set(pipeline.NEEDS) == set(pipeline.Strategy)
 
 
 def test_every_sample_option_sets_a_field_some_strategy_reads():

@@ -1,5 +1,9 @@
 """Metric computation, reference solves, and experiment aggregation."""
 
+import ast
+import functools
+import inspect
+import operator
 import random
 
 import pytest
@@ -21,10 +25,10 @@ from heurlab.evaluation import (
     write_report,
     write_rows_csv,
 )
-from heurlab import cli, generation, models
+from heurlab import cli, evaluation, generation, models, pipeline
 from heurlab.models import LearnedHeuristic, predict_batch, train_residual_model
 from heurlab.search import QuickHeuristic, SearchLimits, SearchResult, Status, TieBreak, ZeroHeuristic, astar
-from heurlab.util import read_jsonl
+from heurlab.util import read_jsonl, serial_sum
 
 
 def _ref(instance_id, closed, plan, wall=1.0):
@@ -109,6 +113,21 @@ def test_empty_inputs_mean_zero():
 def test_mean_over_no_reports_is_refused():
     with pytest.raises(ValueError, match="no reports"):
         mean_over_reports([])
+
+
+def test_every_float_total_adds_left_to_right():
+    # The builtin sum compensates rounding from Python 3.12 on; math.fsum gives 1.0 here.
+    assert serial_sum([1e16, 1.0, -1e16]) == 0.0
+    assert serial_sum([]) == 0.0
+    rng = random.Random(5)
+    values = [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-8, 8) for _ in range(500)]
+    assert serial_sum(values) == functools.reduce(operator.add, values, 0.0)
+    assert serial_sum(iter(values)) == serial_sum(values)
+    for module in (evaluation, pipeline):
+        tree = ast.parse(inspect.getsource(module))
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+        assert calls == [], f"{module.__name__} calls the builtin sum at lines {calls}"
 
 
 def test_compute_references_match_bfs(maze_train_150):

@@ -1,7 +1,9 @@
 """Instance generation: filters, determinism, corpora, split folders."""
 
+import dataclasses
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from heurlab.generation import (
     write_split,
 )
 from heurlab.search import QuickHeuristic, SearchResult, Status, astar
+from heurlab.util import derive_seed
 
 
 def _result(plan, closed, solved=True):
@@ -398,6 +401,115 @@ def test_build_split_maps_each_domain_to_its_builder(boxoban_file):
     assert not any("shuffle_seed" in inst.provenance for inst in boxes)
 
 
+# Verbatim copies of the split walks that the one (index, block) list replaced.
+
+def former_expand_blocks(blocks, split, master_seed, scale):
+    tasks = []
+    index = 0
+    for block in blocks:
+        for _ in range(scaled_count(block.count, scale)):
+            tasks.append((split, master_seed, index, block))
+            index += 1
+    return tasks
+
+
+def former_maze_worker(task):
+    split, master_seed, index, block = task
+    return generate_maze(
+        block.size, block.size, block.filt,
+        seed=derive_seed(master_seed, "maze", split, index),
+        id=f"maze-{split}-{index:05d}",
+    )
+
+
+def former_stp_worker(task):
+    split, master_seed, index, block = task
+    return generate_stp(
+        block.size, block.filt,
+        seed=derive_seed(master_seed, "stp", split, index),
+        id=f"stp-{split}-{index:05d}",
+    )
+
+
+def former_build_sokoban_split(split: str, master_seed: int, source: list[PuzzleInstance],
+                               scale: float = 1.0, blocks: tuple[SplitSpec, ...] | None = None) -> list[PuzzleInstance]:
+    """Shuffle the boxoban pool with a derived seed, then walk it block by
+    block, subsampling boxes/docks and filtering until each block is filled."""
+    blocks = blocks or generation.SOKOBAN_SPLITS[split]
+    order = list(range(len(source)))
+    random.Random(derive_seed(master_seed, "sokoban", split, "shuffle")).shuffle(order)
+    out: list[PuzzleInstance] = []
+    cursor = 0
+    index = 0
+    for block in blocks:
+        need = scaled_count(block.count, scale)
+        got = 0
+        while got < need and cursor < len(order):
+            base = source[order[cursor]]
+            cursor += 1
+            try:
+                instance = subsample_boxes(
+                    base, block.boxes, seed=derive_seed(master_seed, "sokoban", split, index), filt=block.filt
+                )
+            except GenerationExhausted:
+                continue
+            out.append(dataclasses.replace(instance, id=f"sokoban-{split}-{index:05d}"))
+            got += 1
+            index += 1
+        if got < need:
+            raise GenerationExhausted(
+                f"sokoban {split}: block B={block.boxes} needs {need} instances, pool yielded {got}"
+            )
+    return out
+
+
+def _fields(instances):
+    """Everything of each instance that a rerun reproduces."""
+    return [(i.id, i.seed, i.board, i.start_state, i.goal_spec, _without_wall_time(i.provenance)) for i in instances]
+
+
+def test_maze_and_tile_splits_match_the_former_workers():
+    blocks = (SplitSpec(2, size=15, filt=GenFilter(o_l=12)), SplitSpec(2, size=11, filt=GenFilter(o_l=8)))
+    want = [former_maze_worker(task) for task in former_expand_blocks(blocks, "val", MASTER_SEED, 1.0)]
+    tiles = generation.STP_SPLITS["test_ood"]  # 4x4 and 5x5 boards
+    want_tiles = [former_stp_worker(task) for task in former_expand_blocks(tiles, "test_ood", MASTER_SEED, 0.008)]
+    assert [inst.start_state.width for inst in want_tiles] == [4, 4, 5, 5]
+    for jobs in (1, 2):
+        got = generation.build_maze_split("val", MASTER_SEED, jobs=jobs, blocks=blocks)
+        assert _fields(got) == _fields(want)
+        got_tiles = build_stp_split("test_ood", MASTER_SEED, scale=0.008, jobs=jobs)
+        assert _fields(got_tiles) == _fields(want_tiles)
+
+
+@pytest.fixture(scope="module")
+def mixed_levels(tmp_path_factory):
+    """Forty 4-box levels from two seeded fixture files."""
+    root = tmp_path_factory.mktemp("mixed-levels")
+    for seed in (21, 22):
+        make_boxoban_fixture(root / f"levels-{seed}.txt", count=20, n_boxes=4, seed=seed)
+    return load_boxoban(root)
+
+
+def test_sokoban_split_matches_the_former_walk_over_mixed_blocks(mixed_levels):
+    filt = GenFilter(o_l=8, beta_max=3000, retries=2)
+    blocks = tuple(SplitSpec(3, boxes=boxes, filt=filt) for boxes in (2, 3, 4))
+    for split in ("train", "test_ood"):
+        want = former_build_sokoban_split(split, MASTER_SEED, mixed_levels, blocks=blocks)
+        assert [len(inst.start_state.boxes) for inst in want] == [2, 2, 2, 3, 3, 3, 4, 4, 4]
+        got = generation.build_sokoban_split(split, MASTER_SEED, mixed_levels, blocks=blocks)
+        assert _fields(got) == _fields(want)
+
+
+def test_sokoban_split_runs_out_where_the_former_walk_did(mixed_levels):
+    filt = GenFilter(o_l=8, beta_max=3000, retries=2)
+    blocks = (SplitSpec(2, boxes=2, filt=filt), SplitSpec(20, boxes=3, filt=filt))
+    source = mixed_levels[:12]
+    with pytest.raises(GenerationExhausted):
+        former_build_sokoban_split("val", MASTER_SEED, source, blocks=blocks)
+    with pytest.raises(GenerationExhausted, match="sokoban val: the pool ran out"):
+        generation.build_sokoban_split("val", MASTER_SEED, source, blocks=blocks)
+
+
 def _level_tree(root):
     """A level directory: a top-level file, a nested one and a file that is not ``*.txt``."""
     (root / "sub").mkdir(parents=True)
@@ -445,6 +557,16 @@ def test_source_hash_covers_bytes_and_relative_paths_without_parsing(tmp_path):
     (copy / "sub" / "a.txt").rename(copy / "sub" / "c.txt")  # same bytes, same order, another path
     assert generation.source_hash(root) != generation.source_hash(copy)
     assert generation.source_hash(root) != generation.source_hash(root / "b.txt")
+
+
+def test_readme_library_snippet_prints_what_it_documents(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    documented = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    assert documented == ["Status.SOLUTION_FOUND 31 142"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == documented
 
 
 def test_symbol_table_is_seeded_and_sorted():
