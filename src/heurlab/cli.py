@@ -24,7 +24,7 @@ from pathlib import Path
 from . import evaluation, generation, models, oracle, pipeline
 from .domains import Domain
 from .search import SearchLimits, TieBreak, ZeroHeuristic
-from .util import atomic_write, content_hash, convert_records, derive_seed, read_jsonl, write_jsonl
+from .util import atomic_write, content_hash, derive_seed, read_jsonl, write_jsonl
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="k-means cluster count of semdedup and of combined's per-instance dedup "
                         "(default: one per 200 examples it dedups, rounded up)")
     p.add_argument("--threshold", type=float, default=unset, dest="similarity_threshold", metavar="THRESHOLD",
-                   action=FINITE, help="cosine cutoff of semdedup and of combined's per-instance dedup")
+                   action=_rule("finite and at least -1", lambda v: -1 <= v < math.inf),
+                   help="cosine cutoff of semdedup and of combined's per-instance dedup")
     p.set_defaults(func=cmd_sample)
 
     p = register("train", "fit a residual model on a selection")
@@ -327,7 +328,7 @@ def _evaluator(args, instances):
 
 
 def _read_references(path) -> dict:
-    return {ref.instance_id: ref for ref in convert_records(path, read_jsonl(path), evaluation.reference_from_record)}
+    return {ref.instance_id: ref for ref in read_jsonl(path, evaluation.reference_from_record)}
 
 
 def _quick_pool(instances, limits, jobs):

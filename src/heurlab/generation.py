@@ -20,7 +20,7 @@ from . import domains
 from .domains import Domain, ParseError, PuzzleInstance
 from .domains.base import MazeBoard, MazeState, OPPOSITE_ACTION, SokobanBoard, SokobanState, freeze_grid
 from .search import QuickHeuristic, SearchLimits, SearchResult, astar
-from .util import convert_records, derive_seed, map_tasks, read_jsonl, write_jsonl
+from .util import derive_seed, map_tasks, read_jsonl, write_jsonl
 
 GENERATION_CAP = 1000  # fresh boards per requested instance before giving up
 BREAK_PROB = 0.2  # chance that each region-boundary wall of a maze is opened
@@ -482,7 +482,7 @@ def read_split(in_dir: str | Path) -> list[PuzzleInstance]:
     """The instances of a split folder in id order. A manifest record lacking
     a field or naming no domain, or a board that does not parse, fails naming its file."""
     manifest = Path(in_dir) / "manifest.jsonl"
-    entries = convert_records(manifest, read_jsonl(manifest), lambda row: (row["id"], row["seed"], Domain(row["domain"]), row))
+    entries = read_jsonl(manifest, lambda row: (row["id"], row["seed"], Domain(row["domain"]), row))
     out = []
     for inst_id, seed, domain, row in sorted(entries, key=lambda entry: entry[0]):
         board = manifest.with_name(f"{inst_id}.txt")

@@ -25,7 +25,7 @@ from . import domains
 from .domains import Domain, PuzzleInstance
 from .oracle import SectionLabel, parse_sections, section_of
 from .search import SearchResult
-from .util import convert_records, derive_seed, read_jsonl, serial_sum, write_jsonl
+from .util import derive_seed, read_jsonl, serial_sum, write_jsonl
 from .generation import stp_symbol_table
 
 
@@ -79,8 +79,7 @@ class SamplingSpec:
             raise ValueError("per_problem_m must be positive")
         if self.n_clusters is not None and self.n_clusters < 1:
             raise ValueError("n_clusters must be positive")
-        if not math.isfinite(self.similarity_threshold):
-            raise ValueError("similarity_threshold must be finite")
+        dedup_ladder(self.similarity_threshold)  # refuses a threshold semdedup cannot use
 
 
 def extract_pool(solved: Iterable[tuple[PuzzleInstance, SearchResult]]) -> tuple[list[TrainingExample], int]:
@@ -314,13 +313,39 @@ def _cosine_matrix(vectors: np.ndarray) -> np.ndarray:
     safe = np.where(norms < 1e-12, 1.0, norms)
     unit = vectors / safe[:, None]
     sim = unit @ unit.T
-    return np.clip(sim, -1.0, 1.0)
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
-def _cluster_geometry(vectors: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> list[tuple]:
-    """Per non-empty cluster: member indices, their cosine matrix and their
-    distances to the centroid. Built once, reused at every dedup threshold;
-    the matrices together hold the sum of the squared cluster sizes."""
+def dedup_ladder(threshold: float) -> list[float]:
+    """The similarity thresholds semdedup tries in turn: ``threshold``, then
+    0.01 higher at each step (rounded to 10 places), up to 1.0.
+
+    Cosine similarity never falls below -1, so a lower threshold dedups
+    exactly as -1 does; it is refused, because far enough below it the 0.01
+    step is lost to rounding and the ladder never ends. From -1 the ladder
+    has 201 thresholds, and it rises strictly until it ends.
+    """
+    if not -1.0 <= threshold < math.inf:  # refuses NaN too
+        raise ValueError(f"similarity_threshold must be finite and at least -1, got {threshold}")
+    ladder = [threshold]
+    while ladder[-1] < 1.0:
+        ladder.append(min(1.0, round(ladder[-1] + 0.01, 10)))
+    return ladder
+
+
+def _cluster_geometry(vectors: np.ndarray, labels: np.ndarray, centroids: np.ndarray,
+                      ladder: Sequence[float]) -> list[tuple]:
+    """Per non-empty cluster: member indices, the ``uint8`` dedup level of each
+    member pair, the highest of those levels, and the members' distances to
+    the centroid. Built once, reused at every step of ``ladder``.
+
+    A pair's level, kept in the upper triangle, counts the thresholds of
+    ``ladder`` that its cosine similarity exceeds. The ladder rises strictly,
+    so the similarity exceeds ``ladder[step]`` exactly when the level exceeds
+    ``step``; a NaN similarity exceeds none. So each pair costs one byte, and
+    a cluster's float cosine matrix lives only while its levels are counted,
+    one compare per threshold (at most 201).
+    """
     clusters = []
     for c in range(len(centroids)):
         idxs = np.flatnonzero(labels == c)
@@ -328,19 +353,29 @@ def _cluster_geometry(vectors: np.ndarray, labels: np.ndarray, centroids: np.nda
             continue
         local = vectors[idxs]
         dist = np.linalg.norm(local - centroids[c][None, :], axis=1)
-        clusters.append((idxs, _cosine_matrix(local), dist.tolist()))
+        sim = _cosine_matrix(local)
+        level = np.zeros(sim.shape, dtype=np.uint8)
+        above = np.empty(sim.shape, dtype=bool)
+        for threshold in ladder:
+            level += np.greater(sim, threshold, out=above)
+        level = np.triu(level, 1)
+        clusters.append((idxs, level, int(level.max()), dist.tolist()))
     return clusters
 
 
-def _dedup_survivors(clusters: list[tuple], threshold: float) -> list[int]:
-    """Indices kept after near-duplicate removal within each cluster.
+def _dedup_survivors(clusters: list[tuple], step: int) -> list[int]:
+    """Indices kept after near-duplicate removal within each cluster, at the
+    threshold ``ladder[step]`` of the ladder the clusters were built on.
 
     For a too-similar pair the member closer to its centroid goes, keeping the
     outskirts of each cluster, a denser spread of distinct situations.
     """
     survivors = []
-    for idxs, sim, dist in clusters:
-        above = np.triu(sim > threshold, 1)
+    for idxs, level, top, dist in clusters:
+        if top <= step:  # no pair above the threshold: every member stays
+            survivors.extend(idxs.tolist())
+            continue
+        above = level > step
         alive = [True] * len(idxs)
         for a in range(len(idxs)):
             if not alive[a]:
@@ -367,8 +402,8 @@ def semdedup_select(
     """Cluster feature vectors, drop near-duplicates, land on the budget.
 
     Over budget: uniform downsample of survivors. Under budget: relax the
-    threshold in 0.01 steps toward 1.0 (less aggressive dedup) until enough
-    survive. A budget larger than the pool returns the whole pool.
+    threshold up ``dedup_ladder`` toward 1.0 (less aggressive dedup) until
+    enough survive. A budget larger than the pool returns the whole pool.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -380,12 +415,12 @@ def semdedup_select(
     vectors = np.array([ex.feature_vector for ex in pool], dtype=float)
     k = n_clusters if n_clusters is not None else math.ceil(len(pool) / 200)
     labels, centroids = kmeans(vectors, k, derive_seed(seed, "kmeans"))
-    clusters = _cluster_geometry(vectors, labels, centroids)
-    threshold = similarity_threshold
-    survivors = _dedup_survivors(clusters, threshold)
-    while len(survivors) < budget and threshold < 1.0:
-        threshold = min(1.0, round(threshold + 0.01, 10))
-        survivors = _dedup_survivors(clusters, threshold)
+    ladder = dedup_ladder(similarity_threshold)
+    clusters = _cluster_geometry(vectors, labels, centroids, ladder)
+    for step in range(len(ladder)):
+        survivors = _dedup_survivors(clusters, step)
+        if len(survivors) >= budget:
+            break
     if len(survivors) > budget:
         rng = random.Random(derive_seed(seed, "downsample"))
         keep = sorted(rng.sample(range(len(survivors)), budget))
@@ -552,11 +587,18 @@ def record_to_example(rec: dict) -> TrainingExample:
 
 
 def write_pool(pool: Sequence[TrainingExample], path: str | Path) -> None:
-    write_jsonl(path, [example_to_record(ex) for ex in pool])
+    write_jsonl(path, (example_to_record(ex) for ex in pool))
 
 
 def read_pool(path: str | Path) -> list[TrainingExample]:
-    return convert_records(path, read_jsonl(path), record_to_example)
+    """The examples of a pool file. A record with another number of features
+    than the first fails naming the file and the record."""
+    pool = read_jsonl(path, record_to_example)
+    for number, ex in enumerate(pool, 1):
+        if len(ex.feature_vector) != len(pool[0].feature_vector):
+            raise ValueError(f"{path}: record {number} has {len(ex.feature_vector)} features, "
+                             f"record 1 has {len(pool[0].feature_vector)}")
+    return pool
 
 
 PROMPT_TEMPLATE = """import torch

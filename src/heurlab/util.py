@@ -77,35 +77,32 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """One record per non-blank line; a line that is not JSON raises
-    ``ValueError("<path>:<line>: <reason>")``."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    records.append(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
-    return records
-
-
-def convert_records(path: str | Path, records: Iterable[dict], convert: Callable) -> list:
-    """``[convert(rec) for rec in records]`` for records read from ``path``;
+def read_jsonl(path: str | Path, convert: Callable | None = None) -> list:
+    """One record per non-blank line, each passed through ``convert`` as soon
+    as it is parsed when ``convert`` is given, so the parsed dicts never pile
+    up. A line that is not JSON raises ``ValueError("<path>:<line>: <reason>")``;
     a record lacking a field raises
     ``ValueError("<path>: record <n> has no field '<name>'")`` and one whose
     conversion raises ``ValueError`` or ``TypeError`` (a field of the wrong
     JSON type) raises ``ValueError("<path>: record <n>: <reason>")``."""
-    out = []
-    for number, rec in enumerate(records, 1):
-        try:
-            out.append(convert(rec))
-        except KeyError as exc:
-            raise ValueError(f"{path}: record {number} has no field {exc}") from None
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path}: record {number}: {exc}") from None
-    return out
+    records = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            if convert is not None:
+                try:
+                    record = convert(record)
+                except KeyError as exc:
+                    raise ValueError(f"{path}: record {len(records) + 1} has no field {exc}") from None
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{path}: record {len(records) + 1}: {exc}") from None
+            records.append(record)
+    return records
 
 
 def content_hash(obj: object) -> str:

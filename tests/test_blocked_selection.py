@@ -3,8 +3,8 @@ full-broadcast reference implementations they replaced.
 
 The references below are the earlier code verbatim: one ``(n, m, d)``
 broadcast per k-means iteration and per k-NN prediction, and a dedup pass that
-rebuilds every cluster's cosine matrix at each threshold. The blocked versions
-must reproduce them bit for bit.
+rebuilds every cluster's cosine matrix at each threshold. The blocked versions,
+and the dedup ladder's one-byte pair levels, must reproduce them bit for bit.
 """
 
 import math
@@ -258,22 +258,22 @@ def test_kmeans_memory_is_bounded(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Dedup ladder: per-cluster geometry built once, reused at every threshold
-
-LADDER = [0.95, 0.96, 0.97, 0.98, 0.99, 1.0]
-
+# Dedup ladder: per-cluster pair levels built once, reused at every threshold
 
 def _ladder_case():
     """Vectors with near-duplicates, clusters with members at equal distance
-    from their centroid, two singleton clusters and one empty cluster."""
+    from their centroid, a member whose features are NaN, two singleton
+    clusters and one empty cluster."""
     rng = np.random.default_rng(21)
     vectors = _near_duplicate_vectors(300, 6, seed=8) + 1.0
     labels = rng.integers(0, 6, size=len(vectors))
     labels[labels == 5] = 4  # cluster 5 stays empty
     centroids = np.vstack([vectors[labels == c].mean(axis=0) if np.any(labels == c) else np.zeros(6) for c in range(6)])
-    # Cluster 6: a centroid with members mirrored around it (equal distances).
+    # Cluster 6: a centroid with members mirrored around it (equal distances)
+    # and one NaN member, whose similarity to every other member is NaN.
     center = np.full(6, 2.0)
-    mirrored = np.vstack([center + s * e for e in np.eye(6) for s in (1.0, -1.0)] + [center + 0.5 * np.ones(6)] * 2)
+    mirrored = np.vstack([center + s * e for e in np.eye(6) for s in (1.0, -1.0)] + [center + 0.5 * np.ones(6)] * 2
+                         + [np.full(6, np.nan)])
     vectors = np.vstack([vectors, mirrored, [[5.0, 0, 0, 0, 0, 1]], [[0, 5.0, 0, 0, 1, 0]]])
     labels = np.concatenate([labels, np.full(len(mirrored), 6), [7, 8]])
     centroids = np.vstack([centroids, center, vectors[-2], vectors[-1]])
@@ -282,16 +282,47 @@ def _ladder_case():
 
 def test_dedup_ladder_matches_rebuilt_matrices():
     vectors, labels, centroids = _ladder_case()
-    clusters = pipeline._cluster_geometry(vectors, labels, centroids)
-    counts = []
-    for threshold in LADDER:
-        survivors = pipeline._dedup_survivors(clusters, threshold)
-        assert survivors == reference_dedup_survivors(vectors, labels, centroids, threshold)
-        counts.append(len(survivors))
-        # Singleton clusters always survive.
-        assert len(vectors) - 2 in survivors and len(vectors) - 1 in survivors
-    # The ladder is exercised: relaxing the threshold keeps more examples.
-    assert counts == sorted(counts) and counts[0] < counts[-1]
+    nan_member = len(vectors) - 3
+    assert pipeline.dedup_ladder(0.95) == [0.95, 0.96, 0.97, 0.98, 0.99, 1.0]
+    for start in (0.95, -1.0, 1.0, 1.5):
+        ladder = pipeline.dedup_ladder(start)
+        clusters = pipeline._cluster_geometry(vectors, labels, centroids, ladder)
+        assert all(level.dtype == np.uint8 for _, level, _, _ in clusters)
+        counts = []
+        for step, threshold in enumerate(ladder):
+            survivors = pipeline._dedup_survivors(clusters, step)
+            assert survivors == reference_dedup_survivors(vectors, labels, centroids, threshold), (start, step)
+            counts.append(len(survivors))
+            # Singleton clusters and the NaN member always survive.
+            assert {len(vectors) - 2, len(vectors) - 1, nan_member} <= set(survivors)
+        # No similarity exceeds 1.0, so the ladder's last step keeps everyone.
+        assert counts[-1] == len(vectors)
+        if start == 0.95:  # the ladder is exercised: relaxing the threshold keeps more examples
+            assert counts == sorted(counts) and counts[0] < counts[-1]
+    assert len(pipeline.dedup_ladder(-1.0)) == 201
+    assert pipeline.dedup_ladder(1.0) == [1.0] and pipeline.dedup_ladder(1.5) == [1.5]
+
+
+@pytest.mark.parametrize("threshold", [-1.0 - 1e-9, -1e20, math.nan, math.inf])
+def test_dedup_ladder_refuses_a_threshold_below_minus_one_or_not_finite(threshold):
+    # From -1e20 the 0.01 step is lost to rounding, and the ladder never ended.
+    with pytest.raises(ValueError, match="similarity_threshold must be finite and at least -1"):
+        pipeline.dedup_ladder(threshold)
+
+
+def test_cluster_geometry_holds_one_byte_per_pair():
+    # 80 clusters of about 150 members, 1.7 MB of pairs: float64 cosine
+    # matrices kept for the whole ladder would hold 8 bytes per pair, 14 MB.
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(12000, 8)) + 3.0
+    labels = rng.integers(0, 80, size=len(vectors))
+    centroids = np.vstack([vectors[labels == c].mean(axis=0) for c in range(80)])
+    pair_mb = float((np.bincount(labels).astype(float) ** 2).sum()) / 2**20
+    clusters = []
+    peak = _traced_peak_mb(lambda: clusters.extend(pipeline._cluster_geometry(vectors, labels, centroids,
+                                                                             pipeline.dedup_ladder(0.95))))
+    assert sum(level.nbytes for _, level, _, _ in clusters) == round(pair_mb * 2**20)
+    assert peak < 2 * pair_mb
 
 
 @pytest.mark.parametrize("seed", [0, 1])

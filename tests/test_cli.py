@@ -125,7 +125,9 @@ _RULE_CASES = [  # command, its other flags, config key, value, the usage error
     ("sample", [], "budget", "0", "--budget must be positive, got 0"),
     ("sample", [], "per_problem_m", "0", "--per-problem-m must be positive, got 0"),
     ("sample", ["--strategy", "semdedup"], "clusters", "0", "--clusters must be positive, got 0"),
-    ("sample", ["--strategy", "semdedup"], "threshold", "nan", "--threshold must be finite, got nan"),
+    ("sample", ["--strategy", "semdedup"], "threshold", "nan", "--threshold must be finite and at least -1, got nan"),
+    ("sample", ["--strategy", "semdedup"], "threshold", "-1.5",
+     "--threshold must be finite and at least -1, got -1.5"),
     ("oracle-study", [], "margin", "nan", "--margin must be finite, got nan"),
 ]
 
@@ -153,6 +155,17 @@ def test_a_value_outside_its_rule_exits_2_before_any_output(tmp_path, capsys, so
     assert f"usage error: {message}\n" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_sample_refuses_a_threshold_whose_dedup_ladder_never_ends(pool_file, tmp_path, capsys):
+    # From -1e20 a 0.01 step is lost to rounding, so the ladder never rose.
+    out = tmp_path / "s.jsonl"
+    argv = ["sample", "--pool", pool_file, "--out", out, "--strategy", "semdedup", "--budget", "100"]
+    assert run_cli(argv + ["--threshold=-1e20"]) == 2
+    assert "usage error: --threshold must be finite and at least -1, got -1e+20\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(argv + ["--threshold=-1"]) == 0
+    assert len(pipeline.read_pool(out)) == 100
 
 
 def test_pipeline_refuses_a_nan_scale_before_writing_config(tmp_path, capsys):
@@ -464,6 +477,21 @@ def test_pool_record_with_a_bad_value_names_it(pool_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {bad}: record 3: non-hexadecimal number found in fromhex() arg at position 0\n" in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_pool_of_mixed_feature_widths_names_the_first_record_that_differs(pool_file, tmp_path, capsys, command):
+    lines = Path(pool_file).read_text().splitlines(keepends=True)
+    width = len(json.loads(lines[0])["feature_vector"])
+    record = json.loads(lines[3])
+    record["feature_vector"] = record["feature_vector"][:5]
+    bad = tmp_path / "mixed.jsonl"
+    bad.write_text("".join(lines[:3]) + json.dumps(record) + "\n" + "".join(lines[4:]))
+    out = tmp_path / "out"
+    strategy = ["--strategy", "semdedup", "--budget", "5"] if command == "sample" else []
+    assert run_cli([command, "--pool", bad, "--out", out, *strategy]) == 3
+    assert f"error: {bad}: record 4 has 5 features, record 1 has {width}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sample"])

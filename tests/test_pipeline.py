@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import random
+import re
 
 import pytest
 
@@ -36,7 +37,7 @@ from heurlab.pipeline import (
     write_pool,
 )
 from heurlab.search import QuickHeuristic, SearchResult, Status, astar
-from heurlab.util import derive_seed
+from heurlab.util import derive_seed, read_jsonl
 
 import numpy as np
 
@@ -545,6 +546,17 @@ def test_sampling_spec_rejects_non_finite_similarity_thresholds(threshold):
         SamplingSpec(Strategy.SEMDEDUP, total_budget=3, similarity_threshold=threshold)
 
 
+def test_similarity_thresholds_below_minus_one_are_refused():
+    # Cosine similarity is never below -1; from -1e20 the dedup ladder's
+    # 0.01 step is lost to rounding and semdedup never ended.
+    with pytest.raises(ValueError, match="similarity_threshold must be finite and at least -1, got -1.01"):
+        SamplingSpec(Strategy.SEMDEDUP, total_budget=3, similarity_threshold=-1.01)
+    pool = [_fake_example("a", g, 11, vector=(g, 1.0)) for g in range(11)]
+    with pytest.raises(ValueError, match="at least -1, got -1e\\+20"):
+        semdedup_select(pool, budget=4, similarity_threshold=-1e20)
+    assert len(semdedup_select(pool, budget=4, similarity_threshold=-1.0)) == 4
+
+
 # ---------------------------------------------------------------------------
 # Records and prompt export
 
@@ -555,6 +567,34 @@ def test_pool_records_round_trip(tmp_path, maze_pool_150):
     path = tmp_path / "pool.jsonl"
     write_pool(subset, path)
     assert read_pool(path) == subset
+
+
+def test_read_jsonl_converts_each_record_as_it_is_read(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"x": 1}\n\n{"x": 2}\n{"y": 3}\n')
+    assert read_jsonl(path) == [{"x": 1}, {"x": 2}, {"y": 3}]
+    converted = []
+
+    def convert(rec):
+        converted.append(rec["x"])
+        return rec["x"] * 10
+
+    # The blank line counts as a line, not as a record.
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record 3 has no field 'x'$"):
+        read_jsonl(path, convert)
+    assert converted == [1, 2]
+    path.write_text('{"x": 1}\n\n{"x": 2}\n')
+    assert read_jsonl(path, convert) == [10, 20]
+    # A record is converted before the next line is parsed.
+    path.write_text('{"x": 4}\n{"x": 5\n{"x": 6}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: Expecting"):
+        read_jsonl(path, convert)
+    assert converted[-1] == 4
+    path.write_text('{"x": 4}\n{"x": "five"}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record 2: invalid literal"):
+        read_jsonl(path, lambda rec: int(rec["x"]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: record 2: can only concatenate"):
+        read_jsonl(path, lambda rec: rec["x"] + 1)
 
 
 def test_render_prompt_maze_structure(maze_pool_150):
