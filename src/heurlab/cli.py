@@ -126,7 +126,6 @@ def _name_list(flag: str, text: str, known, every: list[str] | None = None) -> l
 
 def _limit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, action=NONNEGATIVE)
-    p.add_argument("--max-wall-time", type=float, action=POSITIVE)
 
 
 def _heuristic_flags(p: argparse.ArgumentParser, default: str) -> None:
@@ -368,7 +367,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    limits = SearchLimits(args.max_iterations, args.max_wall_time)
+    limits = SearchLimits(args.max_iterations)
     instances = generation.read_split(args.instances)
     results = evaluation.solve_all(
         instances, _evaluator(args, instances), limits=limits, tie_break=TieBreak(args.tie_break), jobs=args.jobs
@@ -387,7 +386,7 @@ def cmd_oracle_study(args) -> int:
         instances,
         sigmas=args.sigmas,
         seeds=noise_seeds,
-        limits=SearchLimits(args.max_iterations, args.max_wall_time),
+        limits=SearchLimits(args.max_iterations),
         clamp_at_zero=not args.no_clamp,
         per_query=args.per_query,
         jobs=args.jobs,
@@ -411,7 +410,7 @@ def cmd_oracle_study(args) -> int:
 
 def cmd_extract(args) -> int:
     instances = generation.read_split(args.instances)
-    pool, skipped = _quick_pool(instances, SearchLimits(args.max_iterations, args.max_wall_time), args.jobs)
+    pool, skipped = _quick_pool(instances, SearchLimits(args.max_iterations), args.jobs)
     pipeline.write_pool(pool, args.out)
     print(f"pool: {len(pool)} examples from {len(instances) - skipped} instances "
           f"({skipped} unsolved skipped) -> {args.out}")
@@ -452,7 +451,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    limits = SearchLimits(args.max_iterations, args.max_wall_time)
+    limits = SearchLimits(args.max_iterations)
     instances = generation.read_split(args.instances)
     evaluator = _evaluator(args, instances)
     if args.references and Path(args.references).exists():
@@ -503,18 +502,18 @@ def _pipeline_config(args, domain: Domain) -> dict:
         "model_kind": args.model_kind,
         "k": args.k,
         "max_iterations": args.max_iterations,
-        "max_wall_time": args.max_wall_time,
+        "max_wall_time": None,  # the removed wall-time limit; kept so config.json and its hash stay the same
     }
     if domain is Domain.SOKOBAN:  # a resume must read the same levels
         cfg["boxoban"] = generation.source_hash(_boxoban(args.boxoban))
     return cfg
 
 
-def cmd_pipeline(args) -> int:
-    domain = Domain(args.domain)
-    cfg = _pipeline_config(args, domain)
-    limits = SearchLimits(args.max_iterations, args.max_wall_time)
-    workdir = Path(args.workdir)
+def run_pipeline(workdir: Path, cfg: dict, jobs: int, boards) -> Path:
+    """Build in ``workdir`` the stages of ``_pipeline_config``'s ``cfg`` that are missing, with Sokoban
+    source ``boards()``; returns the comparison table. A workdir of another ``cfg`` is refused first."""
+    domain = Domain(cfg["domain"])
+    limits = SearchLimits(cfg["max_iterations"])
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "config.json"
     if cfg_path.exists():
@@ -525,8 +524,7 @@ def cmd_pipeline(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{cfg_path}: {exc}") from None
         if stored.get("config_hash") != content_hash(cfg):
-            print(f"{workdir} was built with a different configuration; use a fresh --workdir", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise ValueError(f"{workdir} was built with a different configuration; use a fresh --workdir")
         print("resuming: configuration matches")
     else:
         with atomic_write(cfg_path) as fh:
@@ -544,10 +542,8 @@ def cmd_pipeline(args) -> int:
         return path
 
     # 1. instances
-    boards = functools.cache(lambda: generation.load_boxoban(args.boxoban))  # a Sokoban config has checked the path
-
     def build_split(path, split):
-        built = generation.build_split(domain, split, cfg["seed"], cfg["scale"], args.jobs, boards)
+        built = generation.build_split(domain, split, cfg["seed"], cfg["scale"], jobs, boards)
         generation.write_split(built, path.parent, force=True)
 
     splits = ("train", "test_iid", "test_ood")
@@ -557,7 +553,7 @@ def cmd_pipeline(args) -> int:
 
     # 2. references for the evaluation splits
     def build_references(path, split):
-        refs, failed = evaluation.compute_references(instances[split], limits=limits, jobs=args.jobs)
+        refs, failed = evaluation.compute_references(instances[split], limits=limits, jobs=jobs)
         if failed:
             write_jsonl(path.with_name(f"{split}_unsolved.jsonl"), [{"instance_id": i} for i in failed])
             print(f"  {split}: {len(failed)} instances had no reference solve; excluded", file=sys.stderr)
@@ -570,7 +566,7 @@ def cmd_pipeline(args) -> int:
 
     # 3. training pool from quick solves of the train split
     def build_pool(path):
-        pool, skipped = _quick_pool(instances["train"], limits, args.jobs)
+        pool, skipped = _quick_pool(instances["train"], limits, jobs)
         if skipped:
             print(f"  pool: {skipped} unsolved train instances skipped", file=sys.stderr)
         pipeline.write_pool(pool, path)
@@ -616,7 +612,7 @@ def cmd_pipeline(args) -> int:
             print(f"  {name}: skipped ({reason})", file=sys.stderr)
             return
         report = evaluation.solve_and_score(instances[split], references[split], models.LearnedHeuristic(model),
-                                            limits, TieBreak.LARGER_G, args.jobs)
+                                            limits, TieBreak.LARGER_G, jobs)
         manifest = evaluation.run_manifest(instances[split], {"strategy": row, "split": split, **cfg}, [0])
         evaluation.write_report(report, path.parent, name, manifest)
 
@@ -635,7 +631,15 @@ def cmd_pipeline(args) -> int:
             rows.append(entry)
         evaluation.write_rows_csv(rows, path)
 
-    comparison = stage("comparison", "comparison.csv", build_comparison)
+    return stage("comparison", "comparison.csv", build_comparison)
+
+
+def cmd_pipeline(args) -> int:
+    domain = Domain(args.domain)
+    cfg = _pipeline_config(args, domain)
+    boards = functools.cache(lambda: generation.load_boxoban(args.boxoban))  # a Sokoban config has checked the path
+    comparison = run_pipeline(Path(args.workdir), cfg, args.jobs, boards)
+    budget = generation.scaled_count(cfg["budget"], cfg["scale"])
     print(f"\ncomparison ({domain.value}, scale {cfg['scale']}, budget {budget}):")
     rows = evaluation.read_rows_csv(comparison)
     cols = list(rows[0].keys()) if rows else []

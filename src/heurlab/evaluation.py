@@ -16,6 +16,7 @@ come from its per-instance rows; ``mean_over_reports`` averages across runs.
 from __future__ import annotations
 
 import csv
+import math
 import platform
 import sys
 import time
@@ -160,7 +161,17 @@ def reference_records(references: Mapping[str, ReferenceSolution]) -> list[dict]
 
 
 def reference_from_record(rec: dict) -> ReferenceSolution:
-    return ReferenceSolution(*(rec[f.name] for f in fields(ReferenceSolution)))
+    """A references-file record; a field of the wrong type or sign is a ``ValueError`` naming it."""
+    ref = ReferenceSolution(*(rec[f.name] for f in fields(ReferenceSolution)))
+    if not isinstance(ref.instance_id, str):
+        raise ValueError(f"instance_id must be a string, got {ref.instance_id!r}")
+    for name in ("closed_length", "plan_length"):
+        value = getattr(ref, name)
+        if type(value) is not int or value < 0:  # a bool is no count
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if type(ref.wall_time) not in (int, float) or not 0 <= ref.wall_time < math.inf:
+        raise ValueError(f"wall_time must be a finite, nonnegative number, got {ref.wall_time!r}")
+    return ref
 
 
 

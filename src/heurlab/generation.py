@@ -479,10 +479,18 @@ def write_split(instances: Iterable[PuzzleInstance], out_dir: str | Path, force:
 
 
 def read_split(in_dir: str | Path) -> list[PuzzleInstance]:
-    """The instances of a split folder in id order. A manifest record lacking
-    a field or naming no domain, or a board that does not parse, fails naming its file."""
+    """The instances of a split folder in id order. A manifest record lacking a field, naming no
+    domain or repeating an id, or a board that does not parse, fails naming its file."""
     manifest = Path(in_dir) / "manifest.jsonl"
-    entries = read_jsonl(manifest, lambda row: (row["id"], row["seed"], Domain(row["domain"]), row))
+    seen = set()
+
+    def convert(row):
+        if row["id"] in seen:
+            raise ValueError(f"instance id {row['id']!r} is repeated")
+        seen.add(row["id"])
+        return row["id"], row["seed"], Domain(row["domain"]), row
+
+    entries = read_jsonl(manifest, convert)
     out = []
     for inst_id, seed, domain, row in sorted(entries, key=lambda entry: entry[0]):
         board = manifest.with_name(f"{inst_id}.txt")

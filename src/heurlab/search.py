@@ -26,7 +26,7 @@ ITR) is the ``perf_counter`` time of its own steps plus its share of each
 evaluation call, split by the rows it asked for; a search driven alone is
 charged each call in full. Each request's values come back with the seconds
 since the request that went to other searches, and the engine leaves those
-out. ``SearchLimits.max_wall_time`` compares against that same charged time.
+out. The clock feeds only ``wall_time``: no branch of the search reads it.
 """
 
 from __future__ import annotations
@@ -56,13 +56,10 @@ class TieBreak(Enum):
 @dataclass(frozen=True)
 class SearchLimits:
     max_iterations: int | None = None  # cap on closed_length
-    max_wall_time: float | None = None  # seconds
 
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.max_wall_time is not None and not self.max_wall_time > 0:  # refuses NaN too
-            raise ValueError("max_wall_time must be positive")
 
 
 class SearchNode:
@@ -155,13 +152,12 @@ def astar_steps(
     A cacheable evaluator is asked at most once per expansion, only about
     children not yet in the node table, and not at all when every child is
     known; an uncacheable one exactly once per expansion, empty requests
-    included. ``wall_time`` and ``max_wall_time`` use the charged time: the
-    seconds since the search started, less every ``idle``."""
+    included. ``wall_time`` is the charged time: the seconds since the
+    search started, less every ``idle``."""
     clock = time.perf_counter
     started = clock()
     idle_total = 0.0
     max_iterations = limits.max_iterations
-    max_wall_time = limits.max_wall_time
     sign = -1 if tie_break is TieBreak.LARGER_G else 1  # heap entries are (f, sign*g, sign*seq, node)
     # Resolved per search, not at import, so that wrappers installed around
     # the dispatch functions since then are the ones called.
@@ -193,8 +189,6 @@ def astar_steps(
         if is_goal(state, instance):
             return result(Status.SOLUTION_FOUND, node)
         if max_iterations is not None and closed >= max_iterations:
-            return result(Status.LIMIT_EXCEEDED)
-        if max_wall_time is not None and clock() - started - idle_total > max_wall_time:
             return result(Status.LIMIT_EXCEEDED)
         closed += 1
         g_child = node.g + 1

@@ -351,6 +351,18 @@ def test_solve_reports_every_instance(split_dir, tmp_path, capsys):
     assert [r["instance_id"] for r in rows] == sorted(r["instance_id"] for r in rows)
 
 
+def test_solve_with_the_zero_heuristic_is_uniform_cost_search(split_dir, tmp_path):
+    # Both heuristics are admissible, so the plans are equally short; the
+    # uninformed search closes at least as many nodes.
+    quick, zero = tmp_path / "quick.jsonl", tmp_path / "zero.jsonl"
+    assert run_cli(["solve", "--instances", split_dir, "--out", quick]) == 0
+    assert run_cli(["solve", "--instances", split_dir, "--out", zero, "--heuristic", "zero"]) == 0
+    for q, z in zip(read_jsonl(quick), read_jsonl(zero), strict=True):
+        assert z["status"] == "solution_found"
+        assert z["plan_length"] == q["plan_length"]
+        assert z["closed_length"] >= q["closed_length"]
+
+
 def test_solve_learned_round_trip(split_dir, model_file, tmp_path):
     out = tmp_path / "runs.jsonl"
     argv = ["solve", "--instances", split_dir, "--out", out,
@@ -444,6 +456,69 @@ def test_reference_record_missing_a_field_names_it(split_dir, tmp_path, capsys):
     util.write_jsonl(refs, records)
     assert run_cli(argv) == 3
     assert f"error: {refs}: record 2 has no field 'plan_length'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def references_file(work, split_dir):
+    out = work / "references.jsonl"
+    references, _ = evaluation.compute_references(generation.read_split(split_dir))
+    util.write_jsonl(out, evaluation.reference_records(references))
+    return out
+
+
+def test_a_valid_references_file_loads_to_equal_references(references_file):
+    records = read_jsonl(references_file)
+    assert len(records) == 12
+    assert cli._read_references(references_file) == {
+        rec["instance_id"]: evaluation.ReferenceSolution(**rec) for rec in records
+    }
+
+
+_BAD_REFERENCE_VALUES = [  # field, value, the reason read_jsonl reports
+    ("instance_id", 7, "instance_id must be a string, got 7"),
+    ("instance_id", None, "instance_id must be a string, got None"),
+    ("closed_length", "12", "closed_length must be a nonnegative integer, got '12'"),
+    ("closed_length", -3, "closed_length must be a nonnegative integer, got -3"),
+    ("closed_length", 2.0, "closed_length must be a nonnegative integer, got 2.0"),
+    ("plan_length", -1, "plan_length must be a nonnegative integer, got -1"),
+    ("plan_length", True, "plan_length must be a nonnegative integer, got True"),
+    ("wall_time", float("nan"), "wall_time must be a finite, nonnegative number, got nan"),
+    ("wall_time", float("inf"), "wall_time must be a finite, nonnegative number, got inf"),
+    ("wall_time", -0.5, "wall_time must be a finite, nonnegative number, got -0.5"),
+    ("wall_time", "0.1", "wall_time must be a finite, nonnegative number, got '0.1'"),
+    ("wall_time", False, "wall_time must be a finite, nonnegative number, got False"),
+]
+
+
+@pytest.mark.parametrize("field, value, reason",
+                         [pytest.param(*case, id=f"{case[0]}={case[1]!r}") for case in _BAD_REFERENCE_VALUES])
+def test_reference_record_with_a_bad_value_names_it(split_dir, references_file, tmp_path, capsys, field, value,
+                                                    reason):
+    # Each would otherwise crash naming no file, or score a wrong table with exit 0.
+    records = read_jsonl(references_file)
+    records[2][field] = value
+    refs = tmp_path / "refs.jsonl"
+    util.write_jsonl(refs, records)
+    out = tmp_path / "rep"
+    argv = ["eval", "--instances", split_dir, "--out", out, "--heuristic", "quick", "--references", refs]
+    assert run_cli(argv) == 3
+    assert f"error: {refs}: record 3: {reason}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "solve", "eval"])
+def test_manifest_repeating_an_instance_id_names_it(split_dir, tmp_path, capsys, command):
+    # A repeated row would be solved, pooled and scored twice.
+    split = shutil.copytree(split_dir, tmp_path / "split")
+    manifest = split / "manifest.jsonl"
+    records = read_jsonl(manifest)
+    util.write_jsonl(manifest, records + records[:1])
+    out = tmp_path / "out"
+    heuristic = ["--heuristic", "quick"] if command == "eval" else []
+    assert run_cli([command, "--instances", split, "--out", out, *heuristic]) == 3
+    repeated = f"record {len(records) + 1}: instance id {records[0]['id']!r} is repeated"
+    assert f"error: {manifest}: {repeated}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["id", "seed", "domain"])
@@ -685,6 +760,23 @@ def test_eval_writes_report_and_reuses_references(split_dir, model_file, tmp_pat
     assert refs.read_bytes() == before
 
 
+def test_eval_reports_instances_without_a_reference(split_dir, references_file, tmp_path, capsys):
+    # Under an iteration cap some reference solves fail: eval warns, saves
+    # the references it has, and reports the rest as error records.
+    closed = {rec["instance_id"]: rec["closed_length"] for rec in read_jsonl(references_file)}
+    cap = sorted(closed.values())[6]
+    unsolved = sorted(iid for iid, n in closed.items() if n > cap)  # the goal test comes before the cap
+    assert 0 < len(unsolved) < 12
+    out, refs = tmp_path / "rep", tmp_path / "refs.jsonl"
+    argv = ["eval", "--instances", split_dir, "--out", out, "--heuristic", "quick", "--references", refs,
+            "--max-iterations", cap]
+    assert run_cli(argv) == 0
+    assert f"warning: {len(unsolved)} instances had no reference solve\n" in capsys.readouterr().err
+    assert sorted(rec["instance_id"] for rec in read_jsonl(refs)) == sorted(set(closed) - set(unsolved))
+    errors = [rec for rec in read_jsonl(out / "eval_seed0_manifest.jsonl") if rec["kind"] == "error"]
+    assert errors == [{"kind": "error", "instance_id": iid, "error": "missing_reference"} for iid in unsolved]
+
+
 @pytest.mark.parametrize("repeats", ["0", "-1"])
 def test_eval_refuses_no_timing_repeats(split_dir, model_file, tmp_path, capsys, repeats):
     out = tmp_path / "report"
@@ -723,12 +815,24 @@ def _limit_argv(command, split_dir, model_file, out):
 def test_search_limits_are_usage_errors_naming_their_flag(split_dir, model_file, tmp_path, capsys, command):
     out = tmp_path / "out"
     argv = _limit_argv(command, split_dir, model_file, out)
-    for flag, value, reason in [("--max-iterations", "-1", "must be nonnegative"),
-                                ("--max-wall-time", "0", "must be positive"),
-                                ("--max-wall-time", "nan", "must be positive")]:
+    for flag, value, reason in [("--max-iterations", "-1", "must be nonnegative")]:
         assert run_cli(argv + [flag, value]) == 2, (flag, value)
         assert f"usage error: {flag} {reason}, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle-study", "extract", "eval", "pipeline"])
+def test_no_command_takes_a_wall_time_limit(split_dir, model_file, tmp_path, capsys, command):
+    # A search's outcome follows from its inputs alone, so no command lets
+    # the clock stop one: not as a flag, nor as a config key.
+    out = tmp_path / "out"
+    argv = _limit_argv(command, split_dir, model_file, out)
+    assert run_cli(argv + ["--max-wall-time", "5"]) == 2
+    assert "unrecognized arguments: --max-wall-time 5" in capsys.readouterr().err
+    config = _write_config(tmp_path / "cfg.ini", f"[{command}]\nmax_wall_time = 5\n")
+    assert run_cli(argv + ["--config", config]) == 2
+    assert f"usage error: config key 'max_wall_time' is not an option of '{command}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +978,20 @@ def test_config_supplies_defaults_flags_override(pool_file, tmp_path):
     assert len(pipeline.read_pool(c)) == 5
 
 
+def test_config_given_with_an_equals_sign_is_read(pool_file, tmp_path):
+    cfg = _write_config(tmp_path / "cfg.ini", "[sample]\nbudget = 7\n")
+    out = tmp_path / "a.jsonl"
+    assert run_cli(["sample", f"--config={cfg}", "--pool", pool_file, "--out", out]) == 0
+    assert len(pipeline.read_pool(out)) == 7
+
+
+def test_config_file_that_does_not_exist_exits_2(pool_file, tmp_path, capsys):
+    missing, out = tmp_path / "missing.ini", tmp_path / "a.jsonl"
+    assert run_cli(["sample", "--config", missing, "--pool", pool_file, "--out", out]) == 2
+    assert f"usage error: config file {str(missing)!r} not found\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_rejects_unknown_keys(pool_file, tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.ini", "[sample]\nnonsense = 1\n")
     code = run_cli(["sample", "--config", cfg, "--pool", pool_file,
@@ -976,6 +1094,46 @@ def test_pipeline_builds_resumes_and_guards_config(tmp_path, capsys):
     # changed settings must not silently mix with saved artifacts
     assert run_cli(argv + ["--budget", "999"]) == 3
     assert "different configuration" in capsys.readouterr().err
+
+
+def test_pipeline_skips_the_evals_its_models_cannot_score(tmp_path, capsys):
+    # Sliding-tile test_ood boards are wider than the training boards: each
+    # such eval is a skip row naming the reason, and the comparison leaves
+    # its ood cells empty. The benchmark's sliding-tile pipeline takes this path.
+    wd = tmp_path / "wd"
+    assert run_cli(["pipeline", "--workdir", wd, "--domain", "stp", "--scale", "0.01", "--strategies", "uniform"]) == 0
+    reason = "feature dimensionality differs from training"
+    assert f"  uniform_test_ood: skipped ({reason})\n" in capsys.readouterr().err
+    summary = wd / "eval" / "uniform_test_ood_summary.csv"
+    assert evaluation.read_rows_csv(summary) == [{"strategy": "uniform", "split": "test_ood", "skipped": reason}]
+    assert sorted(p.name for p in summary.parent.glob("uniform_test_ood_*")) == [summary.name]
+    [row] = evaluation.read_rows_csv(wd / "comparison.csv")
+    for col in evaluation.HEADLINE_METRICS:
+        assert row[f"iid_{col}"] != ""
+        assert row[f"ood_{col}"] == ""
+
+
+def test_pipeline_leaves_out_the_instances_a_capped_search_does_not_solve(tmp_path, capsys):
+    # The references stage lists the unsolved instances of each eval split,
+    # the pool skips the unsolved train instances, and each eval reports
+    # its split's unsolved instances as error records.
+    wd = tmp_path / "wd"
+    argv = ["pipeline", "--workdir", wd, "--scale", "0.01", "--strategies", "uniform", "--seed", "3",
+            "--max-iterations", "150"]
+    assert run_cli(argv) == 0
+    err = capsys.readouterr().err
+    assert "  pool: 4 unsolved train instances skipped\n" in err
+    pooled = {ex.instance_id for ex in pipeline.read_pool(wd / "pool.jsonl")}
+    assert len(pooled) == len(generation.read_split(wd / "instances" / "train")) - 4
+    for split, n in (("test_iid", 2), ("test_ood", 3)):
+        assert f"  {split}: {n} instances had no reference solve; excluded\n" in err
+        unsolved = [rec["instance_id"] for rec in read_jsonl(wd / "references" / f"{split}_unsolved.jsonl")]
+        solved = [rec["instance_id"] for rec in read_jsonl(wd / "references" / f"{split}.jsonl")]
+        assert len(unsolved) == n
+        assert sorted(unsolved + solved) == [inst.id for inst in generation.read_split(wd / "instances" / split)]
+        manifest = read_jsonl(wd / "eval" / f"uniform_{split}_manifest.jsonl")
+        errors = [rec for rec in manifest if rec["kind"] == "error"]
+        assert errors == [{"kind": "error", "instance_id": iid, "error": "missing_reference"} for iid in unsolved]
 
 
 @pytest.mark.parametrize("flag, value", [

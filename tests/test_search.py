@@ -10,7 +10,7 @@ import pytest
 
 from conftest import MASTER_SEED, _reverse_pull_board, maze_bfs_distance
 
-from heurlab import domains, generation
+from heurlab import domains, evaluation, generation
 from heurlab.domains import maze, stp
 from heurlab.evaluation import LOCKSTEP, lockstep
 from heurlab.oracle import NoiseSpec, NoisyOracle, oracle_tables
@@ -133,18 +133,9 @@ def test_goal_pop_wins_over_iteration_limit():
     assert result.closed_length == 0
 
 
-def test_wall_time_limit():
-    inst = maze.parse_ascii(OPEN_ROOM)
-    result = astar(inst, QuickHeuristic(), SearchLimits(max_wall_time=1e-9))
-    assert result.status is Status.LIMIT_EXCEEDED
-
-
 def test_limits_validation():
     with pytest.raises(ValueError):
         SearchLimits(max_iterations=-1)
-    for wall in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            SearchLimits(max_wall_time=wall)
 
 
 def test_tie_break_larger_g_walks_the_plateau():
@@ -263,8 +254,6 @@ def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_
         if domains.is_goal(node.state, instance):
             return result(Status.SOLUTION_FOUND, node)
         if limits.max_iterations is not None and closed >= limits.max_iterations:
-            return result(Status.LIMIT_EXCEEDED)
-        if limits.max_wall_time is not None and time.perf_counter() - t0 > limits.max_wall_time:
             return result(Status.LIMIT_EXCEEDED)
         closed += 1
         expansions += 1
@@ -422,12 +411,44 @@ def test_lockstep_matches_reference_engine_search_by_search():
                     assert paired.calls[id(inst)] == requests, label
 
 
-def test_lockstep_wall_time_limit_uses_charged_time():
-    instances = _random_instances()[:4]
+class RowClock:
+    """A stand-in for ``time.perf_counter`` that moves only while an
+    evaluator is called, by one second per row asked about."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def wrap(self, evaluate):
+        def ticking(states, *rest):
+            self.now += len(states)
+            return evaluate(states, *rest)
+
+        return ticking
+
+
+def test_wall_time_is_the_charged_evaluator_time(monkeypatch):
+    # Under a clock that ticks once per evaluated row, a search's charged
+    # time is exactly its own rows: lockstep charges each search its share
+    # of a round's call and nothing of the others' rows. The clock decides
+    # nothing else: status, path and closed length match the real clock's.
+    instances = generation.build_maze_split("test_iid", 3, scale=0.014)
+    assert len(instances) == 7
+    monkeypatch.setattr(evaluation, "LOCKSTEP", 4)
     paired = PairedEvaluator(lambda inst: QuickHeuristic(), True)
-    results = lockstep(instances, paired, SearchLimits(max_wall_time=1e-9))
-    assert [res.status for _, res in results] == [Status.LIMIT_EXCEEDED] * 4
-    assert all(res.wall_time > 0.0 for _, res in results)
+    real = lockstep(instances, paired) + [("alone", astar(instances[0], QuickHeuristic()))]
+    clock = RowClock()
+    monkeypatch.setattr(time, "perf_counter", clock)
+    paired.evaluate_pairs = clock.wrap(paired.evaluate_pairs)
+    alone = QuickHeuristic()
+    alone.evaluate_batch = clock.wrap(alone.evaluate_batch)
+    ticked = lockstep(instances, paired) + [("alone", astar(instances[0], alone))]
+    assert [iid for iid, _ in ticked] == [iid for iid, _ in real]
+    for (iid, want), (_, got) in zip(real, ticked):
+        assert got.wall_time == got.heuristic_calls, iid
+        assert (got.status, got.path, got.closed_length) == (want.status, want.path, want.closed_length), iid
 
 
 def test_uncacheable_evaluator_called_once_per_expansion_even_when_empty():
