@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import evaluation, generation, models, oracle, pipeline
 from .domains import Domain
-from .search import SearchLimits, TieBreak, ZeroHeuristic
+from .search import TieBreak, ZeroHeuristic
 from .util import atomic_write, content_hash, derive_seed, read_jsonl, write_jsonl
 
 EXIT_OK = 0
@@ -330,10 +330,10 @@ def _read_references(path) -> dict:
     return {ref.instance_id: ref for ref in read_jsonl(path, evaluation.reference_from_record)}
 
 
-def _quick_pool(instances, limits, jobs):
+def _quick_pool(instances, max_iterations, jobs):
     """Solve with the quick heuristic, which is admissible, so every plan is
     optimal; then extract the pool. Returns (pool, unsolved count)."""
-    results = evaluation.solve_all(instances, evaluation.QuickHeuristic(), limits=limits, jobs=jobs)
+    results = evaluation.solve_all(instances, evaluation.QuickHeuristic(), max_iterations, jobs=jobs)
     return pipeline.extract_pool([(inst, results[inst.id]) for inst in instances])
 
 
@@ -367,10 +367,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    limits = SearchLimits(args.max_iterations)
     instances = generation.read_split(args.instances)
     results = evaluation.solve_all(
-        instances, _evaluator(args, instances), limits=limits, tie_break=TieBreak(args.tie_break), jobs=args.jobs
+        instances, _evaluator(args, instances), args.max_iterations, TieBreak(args.tie_break), args.jobs
     )
     rows = [_result_row(iid, results[iid]) for iid in sorted(results)]
     write_jsonl(args.out, rows)
@@ -386,7 +385,7 @@ def cmd_oracle_study(args) -> int:
         instances,
         sigmas=args.sigmas,
         seeds=noise_seeds,
-        limits=SearchLimits(args.max_iterations),
+        max_iterations=args.max_iterations,
         clamp_at_zero=not args.no_clamp,
         per_query=args.per_query,
         jobs=args.jobs,
@@ -410,7 +409,7 @@ def cmd_oracle_study(args) -> int:
 
 def cmd_extract(args) -> int:
     instances = generation.read_split(args.instances)
-    pool, skipped = _quick_pool(instances, SearchLimits(args.max_iterations), args.jobs)
+    pool, skipped = _quick_pool(instances, args.max_iterations, args.jobs)
     pipeline.write_pool(pool, args.out)
     print(f"pool: {len(pool)} examples from {len(instances) - skipped} instances "
           f"({skipped} unsolved skipped) -> {args.out}")
@@ -451,13 +450,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    limits = SearchLimits(args.max_iterations)
     instances = generation.read_split(args.instances)
     evaluator = _evaluator(args, instances)
     if args.references and Path(args.references).exists():
         references = _read_references(args.references)
+        missing = sum(inst.id not in references for inst in instances)
+        if missing:
+            print(f"warning: {missing} of {len(instances)} instances have no reference in {args.references}",
+                  file=sys.stderr)
     else:
-        references, failed = evaluation.compute_references(instances, limits=limits, jobs=args.jobs)
+        references, failed = evaluation.compute_references(instances, args.max_iterations, args.jobs)
         if failed:
             print(f"warning: {len(failed)} instances had no reference solve", file=sys.stderr)
         if args.references:
@@ -470,7 +472,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     reports = []
     for seed in seeds:
-        report = evaluation.solve_and_score(instances, references, evaluator, limits, tie_break, args.jobs)
+        report = evaluation.solve_and_score(instances, references, evaluator, args.max_iterations, tie_break, args.jobs)
         evaluation.write_report(report, out, f"{args.name}_seed{seed}", manifest)
         reports.append(report)
     agg = evaluation.mean_over_reports(reports)
@@ -513,7 +515,7 @@ def run_pipeline(workdir: Path, cfg: dict, jobs: int, boards) -> Path:
     """Build in ``workdir`` the stages of ``_pipeline_config``'s ``cfg`` that are missing, with Sokoban
     source ``boards()``; returns the comparison table. A workdir of another ``cfg`` is refused first."""
     domain = Domain(cfg["domain"])
-    limits = SearchLimits(cfg["max_iterations"])
+    max_iterations = cfg["max_iterations"]
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "config.json"
     if cfg_path.exists():
@@ -553,7 +555,7 @@ def run_pipeline(workdir: Path, cfg: dict, jobs: int, boards) -> Path:
 
     # 2. references for the evaluation splits
     def build_references(path, split):
-        refs, failed = evaluation.compute_references(instances[split], limits=limits, jobs=jobs)
+        refs, failed = evaluation.compute_references(instances[split], max_iterations, jobs)
         if failed:
             write_jsonl(path.with_name(f"{split}_unsolved.jsonl"), [{"instance_id": i} for i in failed])
             print(f"  {split}: {len(failed)} instances had no reference solve; excluded", file=sys.stderr)
@@ -566,7 +568,7 @@ def run_pipeline(workdir: Path, cfg: dict, jobs: int, boards) -> Path:
 
     # 3. training pool from quick solves of the train split
     def build_pool(path):
-        pool, skipped = _quick_pool(instances["train"], limits, jobs)
+        pool, skipped = _quick_pool(instances["train"], max_iterations, jobs)
         if skipped:
             print(f"  pool: {skipped} unsolved train instances skipped", file=sys.stderr)
         pipeline.write_pool(pool, path)
@@ -612,7 +614,7 @@ def run_pipeline(workdir: Path, cfg: dict, jobs: int, boards) -> Path:
             print(f"  {name}: skipped ({reason})", file=sys.stderr)
             return
         report = evaluation.solve_and_score(instances[split], references[split], models.LearnedHeuristic(model),
-                                            limits, TieBreak.LARGER_G, jobs)
+                                            max_iterations, TieBreak.LARGER_G, jobs)
         manifest = evaluation.run_manifest(instances[split], {"strategy": row, "split": split, **cfg}, [0])
         evaluation.write_report(report, path.parent, name, manifest)
 

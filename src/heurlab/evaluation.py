@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .domains import PuzzleInstance
-from .search import HeuristicEvaluator, QuickHeuristic, SearchLimits, SearchResult, TieBreak, astar, astar_steps
+from .search import HeuristicEvaluator, QuickHeuristic, SearchResult, TieBreak, astar, astar_steps
 from .util import atomic_write, content_hash, map_tasks, serial_sum, write_jsonl
 
 
@@ -74,23 +74,24 @@ LOCKSTEP = 4
 def lockstep(
     instances: Sequence[PuzzleInstance],
     evaluator: HeuristicEvaluator,
-    limits: SearchLimits = SearchLimits(),
+    max_iterations: int | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
 ) -> list[tuple[str, SearchResult]]:
     """Solve ``instances`` with up to ``LOCKSTEP`` searches at a time: each
     round sends the states of every pending request, without their depths,
-    to one ``evaluator.evaluate_pairs`` call, and each search is charged the
-    call's seconds in proportion to its rows; the rest of its wait is idle
-    time spent on other searches. A finished search's place goes to the next
-    instance. Returns (instance id, result) pairs in instance order."""
+    to one ``evaluator.evaluate_pairs`` call. Each search is charged the time
+    of its own steps plus the call's seconds in proportion to its rows. A
+    finished search's place goes to the next instance. Returns (instance id,
+    result) pairs in instance order."""
     clock = time.perf_counter
     queue = iter(enumerate(instances))
-    active = []  # per live search: (position, instance, engine, (states, g) requested, time of the request)
+    active = []  # per live search: (position, instance, engine, (states, g) requested, seconds charged)
     results = [None] * len(instances)
     while True:
         for at, inst in islice(queue, LOCKSTEP - len(active)):
-            engine = astar_steps(inst, evaluator.cacheable, limits, tie_break)
-            active.append((at, inst, engine, next(engine), clock()))
+            engine = astar_steps(inst, evaluator.cacheable, max_iterations, tie_break)
+            t = clock()
+            active.append((at, inst, engine, next(engine), clock() - t))
         if not active:
             return [(inst.id, result) for inst, result in zip(instances, results)]
         states = [s for *_, (batch, _), _ in active for s in batch]
@@ -100,29 +101,32 @@ def lockstep(
         per_row = (clock() - t) / len(states) if states else 0.0
         row = 0
         live = []
-        for at, inst, engine, (batch, _), asked in active:
+        for at, inst, engine, (batch, _), charged in active:
             n = len(batch)
+            charged += per_row * n
+            t = clock()
             try:
-                request = engine.send((values[row : row + n], clock() - asked - per_row * n))
-                live.append((at, inst, engine, request, clock()))
+                request = engine.send(values[row : row + n])
+                live.append((at, inst, engine, request, charged + clock() - t))
             except StopIteration as done:
                 results[at] = done.value
+                done.value.wall_time = charged + clock() - t
             row += n
         active = live
 
 
 def _solve_chunk(task):
     """The searches of a chunk of instances: in lockstep, or one astar each."""
-    instances, evaluator, limits, tie_break = task
+    instances, evaluator, max_iterations, tie_break = task
     if hasattr(evaluator, "evaluate_pairs"):
-        return lockstep(instances, evaluator, limits, tie_break)
-    return [(inst.id, astar(inst, evaluator, limits=limits, tie_break=tie_break)) for inst in instances]
+        return lockstep(instances, evaluator, max_iterations, tie_break)
+    return [(inst.id, astar(inst, evaluator, max_iterations, tie_break)) for inst in instances]
 
 
 def solve_all(
     instances: Sequence[PuzzleInstance],
     evaluator: HeuristicEvaluator,
-    limits: SearchLimits = SearchLimits(),
+    max_iterations: int | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
     jobs: int = 1,
 ) -> dict[str, SearchResult]:
@@ -133,18 +137,18 @@ def solve_all(
     # A worker task holds a few rounds' worth of searches, so the workers
     # share out the long searches rather than waiting on one worker's chunk.
     size = 4 * LOCKSTEP if jobs > 1 else max(len(instances), 1)
-    chunks = [(instances[i : i + size], evaluator, limits, tie_break) for i in range(0, len(instances), size)]
+    chunks = [(instances[i : i + size], evaluator, max_iterations, tie_break) for i in range(0, len(instances), size)]
     return dict(pair for chunk in map_tasks(_solve_chunk, chunks, jobs, chunksize=1) for pair in chunk)
 
 
 def compute_references(
     instances: Sequence[PuzzleInstance],
-    limits: SearchLimits = SearchLimits(),
+    max_iterations: int | None = None,
     jobs: int = 1,
 ) -> tuple[dict[str, ReferenceSolution], list[str]]:
     """Quick-heuristic reference solves, with the default larger-g tie-break.
     Returns (references, unsolved ids)."""
-    results = solve_all(instances, QuickHeuristic(), limits=limits, jobs=jobs)
+    results = solve_all(instances, QuickHeuristic(), max_iterations, jobs=jobs)
     references = {}
     failed = []
     for inst in instances:
@@ -236,10 +240,10 @@ def compute_metrics(results: Mapping[str, SearchResult], references: Mapping[str
 
 
 def solve_and_score(instances: Sequence[PuzzleInstance], references: Mapping[str, ReferenceSolution],
-                    evaluator: HeuristicEvaluator, limits: SearchLimits, tie_break: TieBreak,
+                    evaluator: HeuristicEvaluator, max_iterations: int | None, tie_break: TieBreak,
                     jobs: int) -> MetricsReport:
     """Solve every instance once and score the run against the references."""
-    results = solve_all(instances, evaluator, limits=limits, tie_break=tie_break, jobs=jobs)
+    results = solve_all(instances, evaluator, max_iterations, tie_break, jobs)
     return compute_metrics(results, references)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from . import domains
 from .domains import Domain, ParseError, PuzzleInstance
 from .domains.base import MazeBoard, MazeState, OPPOSITE_ACTION, SokobanBoard, SokobanState, freeze_grid
-from .search import QuickHeuristic, SearchLimits, SearchResult, astar
+from .search import QuickHeuristic, SearchResult, astar
 from .util import derive_seed, map_tasks, read_jsonl, write_jsonl
 
 GENERATION_CAP = 1000  # fresh boards per requested instance before giving up
@@ -49,9 +49,6 @@ class GenFilter:
         if self.beta_min is not None and self.beta_max is not None and self.beta_min > self.beta_max:
             raise ValueError("beta_min exceeds beta_max")
 
-    def search_limits(self) -> SearchLimits:
-        return SearchLimits(max_iterations=self.beta_max)
-
     def accepts(self, result: SearchResult) -> bool:
         if not result.solved or result.path_length <= self.o_l:
             return False
@@ -68,7 +65,7 @@ def _passes_filter(instance: PuzzleInstance, filt: GenFilter) -> bool:
     """The difficulty gate of every generator: a quick-heuristic A* under the
     filter's cap, through this module's ``astar`` binding (which the tracer
     wraps); an accepted instance records the filter and the solve."""
-    result = astar(instance, _QUICK, limits=filt.search_limits())
+    result = astar(instance, _QUICK, filt.beta_max)
     if not filt.accepts(result):
         return False
     instance.provenance.update(

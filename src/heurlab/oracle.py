@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import domains, evaluation
 from .domains import Domain, MazeState, PuzzleInstance
-from .search import HeuristicEvaluator, SearchLimits, TieBreak
+from .search import HeuristicEvaluator, TieBreak
 from .util import map_tasks, unit_normal
 
 
@@ -164,7 +164,7 @@ def run_oracle_experiment(
     instances: Sequence[PuzzleInstance],
     sigmas: Iterable[float],
     seeds: Iterable[int],
-    limits: SearchLimits = SearchLimits(),
+    max_iterations: int | None = None,
     clamp_at_zero: bool = True,
     per_query: bool = False,
     jobs: int = 1,
@@ -185,11 +185,11 @@ def run_oracle_experiment(
             for seed in seeds:
                 spec = NoiseSpec(sigma, section, seed, clamp_at_zero=clamp_at_zero, per_query=per_query)
                 oracles[section.value, sigma, seed] = NoisyOracle(spec, tables)
-    references, failed = evaluation.compute_references(instances, limits=limits, jobs=jobs)
+    references, failed = evaluation.compute_references(instances, max_iterations, jobs)
     if failed:
         raise ValueError(f"{len(failed)} instances lack reference solutions: {failed[:5]}")
     solve_pass = partial(evaluation.solve_and_score, instances, references,
-                         limits=limits, tie_break=TieBreak.LARGER_G, jobs=1)
+                         max_iterations=max_iterations, tie_break=TieBreak.LARGER_G, jobs=1)
     details = dict(zip(oracles, map_tasks(solve_pass, list(oracles.values()), jobs, chunksize=1)))
     rows = [_row("all", None, [details["all", None, None]])]
     for sigma in sigmas:

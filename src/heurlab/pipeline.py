@@ -572,16 +572,38 @@ def example_to_record(ex: TrainingExample) -> dict:
 
 
 def record_to_example(rec: dict) -> TrainingExample:
+    """A pool-file record as an example. A record that no solve writes is a
+    ``ValueError`` saying why: a feature that is not finite, a ``g`` outside
+    the plan, or a ``quick_h``, ``d_star`` or ``section`` that disagrees
+    with the fields it follows from."""
+    features = tuple(rec["feature_vector"])
+    quick_h, d_star, g, plan_len = rec["quick_h"], rec["d_star"], rec["g"], rec["plan_len"]
+    # A NaN or an infinity makes the norm non-finite, so one norm stands in
+    # for a test of every feature on the records that pass.
+    if not math.isfinite(math.hypot(*features)):
+        for i, value in enumerate(features):
+            if not math.isfinite(value):
+                raise ValueError(f"feature_vector[{i}] is {value}, not a finite number")
+    if not 0 <= g < plan_len:
+        raise ValueError(f"g {g} is outside 0 <= g < plan_len {plan_len}")
+    if not features or quick_h != features[0]:
+        raise ValueError(f"quick_h {quick_h} is not feature_vector[0]")
+    if d_star != (plan_len - g) - quick_h:
+        raise ValueError(f"d_star {d_star} is not (plan_len - g) - quick_h = {(plan_len - g) - quick_h}")
+    section = section_of(g, plan_len)
+    if rec["section"] != section:
+        raise ValueError(f"section {rec['section']!r} is not {section.value!r}, the section of g {g} "
+                         f"in plan_len {plan_len}")
     return TrainingExample(
         instance_id=rec["instance_id"],
         state_key=bytes.fromhex(rec["state_key"]),
         text=rec["text"],
-        quick_h=rec["quick_h"],
-        d_star=rec["d_star"],
-        g=rec["g"],
-        plan_len=rec["plan_len"],
-        section=SectionLabel(rec["section"]),
-        feature_vector=tuple(rec["feature_vector"]),
+        quick_h=quick_h,
+        d_star=d_star,
+        g=g,
+        plan_len=plan_len,
+        section=section,
+        feature_vector=features,
         domain=Domain(rec["domain"]),
     )
 
@@ -591,13 +613,16 @@ def write_pool(pool: Sequence[TrainingExample], path: str | Path) -> None:
 
 
 def read_pool(path: str | Path) -> list[TrainingExample]:
-    """The examples of a pool file. A record with another number of features
-    than the first fails naming the file and the record."""
+    """The examples of a pool file, each checked by ``record_to_example``. A
+    record of another domain or number of features than the first fails
+    naming the file and the record."""
     pool = read_jsonl(path, record_to_example)
     for number, ex in enumerate(pool, 1):
         if len(ex.feature_vector) != len(pool[0].feature_vector):
             raise ValueError(f"{path}: record {number} has {len(ex.feature_vector)} features, "
                              f"record 1 has {len(pool[0].feature_vector)}")
+        if ex.domain is not pool[0].domain:
+            raise ValueError(f"{path}: record {number}: domain {ex.domain.value}, record 1 has {pool[0].domain.value}")
     return pool
 
 

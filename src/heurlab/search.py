@@ -21,12 +21,12 @@ root alone at 0), and is sent the values back. ``astar`` drives one search
 with one ``evaluate_batch`` per request; ``evaluation.solve_all`` gives one
 evaluator all the searches of a solve and drives several in lockstep when it
 batches across instances, with one ``evaluate_pairs`` call per round whose
-rows carry no depth. Time attribution: a search's ``wall_time`` (and so its
-ITR) is the ``perf_counter`` time of its own steps plus its share of each
-evaluation call, split by the rows it asked for; a search driven alone is
-charged each call in full. Each request's values come back with the seconds
-since the request that went to other searches, and the engine leaves those
-out. The clock feeds only ``wall_time``: no branch of the search reads it.
+rows carry no depth. Time attribution: the engine reads no clock; ``astar``
+and ``lockstep`` set the ``wall_time`` (and so the ITR) of the searches they run.
+``astar`` charges a search all of its ``perf_counter`` time; ``lockstep``
+charges each search the time of its own steps plus its share of each
+evaluation call, split by the rows it asked for. The clock feeds only
+``wall_time``: no branch of the search reads it.
 """
 
 from __future__ import annotations
@@ -51,15 +51,6 @@ class TieBreak(Enum):
 
     LARGER_G = "larger_g"
     SMALLER_G = "smaller_g"
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    max_iterations: int | None = None  # cap on closed_length
-
-    def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
 
 
 class SearchNode:
@@ -140,24 +131,21 @@ def reconstruct_path(node: SearchNode) -> list:
 def astar_steps(
     instance: domains.PuzzleInstance,
     cacheable: bool = True,
-    limits: SearchLimits = SearchLimits(),
+    max_iterations: int | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
-) -> Generator[tuple[list, int], tuple[Sequence[float], float], SearchResult]:
+) -> Generator[tuple[list, int], Sequence[float], SearchResult]:
     """The search engine as a generator: it yields each evaluation request
     ``(states, g)``, the states and the depth they share, and is sent back
-    ``(values, idle)``, the states' heuristic values and the seconds since
-    the request that went to other searches. It returns the
-    ``SearchResult`` (as ``StopIteration.value``).
+    the states' heuristic values. It returns the ``SearchResult`` (as
+    ``StopIteration.value``), with ``wall_time`` left for its caller to set.
+    ``max_iterations`` caps ``closed_length``; ``None`` is no cap.
 
     A cacheable evaluator is asked at most once per expansion, only about
     children not yet in the node table, and not at all when every child is
     known; an uncacheable one exactly once per expansion, empty requests
-    included. ``wall_time`` is the charged time: the seconds since the
-    search started, less every ``idle``."""
-    clock = time.perf_counter
-    started = clock()
-    idle_total = 0.0
-    max_iterations = limits.max_iterations
+    included."""
+    if max_iterations is not None and max_iterations < 0:
+        raise ValueError("max_iterations must be nonnegative")
     sign = -1 if tie_break is TieBreak.LARGER_G else 1  # heap entries are (f, sign*g, sign*seq, node)
     # Resolved per search, not at import, so that wrappers installed around
     # the dispatch functions since then are the ones called.
@@ -166,8 +154,7 @@ def astar_steps(
 
     start = instance.start_state
     start_key = start.key()
-    values, idle = yield [start], 0
-    idle_total += idle
+    values = yield [start], 0
     heuristic_calls = 1
     root = SearchNode(start, start_key, 0, float(values[0]), None, 0)
     best: dict[bytes, SearchNode] = {start_key: root}
@@ -176,10 +163,9 @@ def astar_steps(
     next_seq = 1
 
     def result(status, node=None):
-        wall = clock() - started - idle_total
         if node is None:
-            return SearchResult(status, [], 0, closed, heuristic_calls, wall)
-        return SearchResult(status, reconstruct_path(node), node.g, closed, heuristic_calls, wall)
+            return SearchResult(status, [], 0, closed, heuristic_calls)
+        return SearchResult(status, reconstruct_path(node), node.g, closed, heuristic_calls)
 
     while heap:
         node = heappop(heap)[-1]
@@ -200,8 +186,7 @@ def astar_steps(
             if not cacheable or k not in best:
                 asked.append(s)
         if asked or not cacheable:
-            values, idle = yield asked, g_child
-            idle_total += idle
+            values = yield asked, g_child
             values = iter(values)
             heuristic_calls += len(asked)
         for s, k in children:
@@ -221,17 +206,18 @@ def astar_steps(
 def astar(
     instance: domains.PuzzleInstance,
     heuristic: HeuristicEvaluator,
-    limits: SearchLimits = SearchLimits(),
+    max_iterations: int | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
 ) -> SearchResult:
-    """Solve ``instance``; exhaustion and limits are ordinary results, not
-    errors. Drives ``astar_steps`` with one ``evaluate_batch`` per request;
-    no time goes to another search, so every request is sent back with no
-    idle seconds."""
-    steps = astar_steps(instance, heuristic.cacheable, limits, tie_break)
+    """Solve ``instance``; exhaustion and the iteration cap are ordinary
+    results, not errors. Drives ``astar_steps`` with one ``evaluate_batch``
+    per request and charges the search all the time it took."""
+    started = time.perf_counter()
+    steps = astar_steps(instance, heuristic.cacheable, max_iterations, tie_break)
     try:
         states, g = next(steps)
         while True:
-            states, g = steps.send((heuristic.evaluate_batch(states, instance, g), 0.0))
+            states, g = steps.send(heuristic.evaluate_batch(states, instance, g))
     except StopIteration as done:
+        done.value.wall_time = time.perf_counter() - started
         return done.value

@@ -20,7 +20,7 @@ import pytest
 from heurlab import cli, evaluation, generation, models, oracle, pipeline
 from heurlab.domains import Domain
 from heurlab.domains.hungarian import hungarian_min_cost
-from heurlab.search import QuickHeuristic, SearchLimits, TieBreak, astar
+from heurlab.search import QuickHeuristic, TieBreak, astar
 from heurlab.util import derive_seed
 
 from conftest import MASTER_SEED, maze_bfs_distance, sokoban_bfs_optimal

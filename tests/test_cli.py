@@ -11,6 +11,8 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import math
+import random
 import re
 import shutil
 import sys
@@ -21,9 +23,9 @@ import pytest
 from heurlab import cli, evaluation, generation, models, oracle, pipeline, util
 from heurlab.domains import Domain, stp
 from heurlab.search import TieBreak
-from heurlab.util import atomic_write, read_jsonl
+from heurlab.util import atomic_write, derive_seed, read_jsonl
 
-from conftest import make_boxoban_fixture
+from conftest import MASTER_SEED, make_boxoban_fixture
 from test_acceptance import _normalized
 
 
@@ -506,6 +508,20 @@ def test_reference_record_with_a_bad_value_names_it(split_dir, references_file, 
     assert not out.exists()
 
 
+def test_eval_warns_when_the_references_file_lacks_instances(split_dir, references_file, tmp_path, capsys):
+    # The scores would cover 2 of the 12 instances, with only error records
+    # in the report to tell.
+    refs = tmp_path / "refs.jsonl"
+    util.write_jsonl(refs, read_jsonl(references_file)[:2])
+    argv = ["eval", "--instances", split_dir, "--heuristic", "quick", "--references"]
+    assert run_cli(argv + [refs, "--out", tmp_path / "part"]) == 0
+    assert f"warning: 10 of 12 instances have no reference in {refs}\n" in capsys.readouterr().err
+    errors = [rec for rec in read_jsonl(tmp_path / "part" / "eval_seed0_manifest.jsonl") if rec["kind"] == "error"]
+    assert len(errors) == 10
+    assert run_cli(argv + [references_file, "--out", tmp_path / "whole"]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["extract", "solve", "eval"])
 def test_manifest_repeating_an_instance_id_names_it(split_dir, tmp_path, capsys, command):
     # A repeated row would be solved, pooled and scored twice.
@@ -581,6 +597,53 @@ def test_pool_record_of_the_wrong_type_names_it(pool_file, tmp_path, capsys, com
     assert run_cli([command, "--pool", bad, "--out", out, *budget]) == 3
     err = capsys.readouterr().err
     assert f"error: {bad}: record 2: fromhex() argument must be str, not int\n" in err
+    assert not out.exists()
+
+
+def _pool_edit(record, name):
+    """One corruption of a valid maze pool record: (the edited record, the
+    reason read_pool gives for it)."""
+    g, plan_len, quick_h, features = record["g"], record["plan_len"], record["quick_h"], record["feature_vector"]
+    other = "initial" if record["section"] == "end" else "end"
+    edit, reason = {
+        "nan_feature": ({"feature_vector": features[:2] + [math.nan] + features[3:]},
+                        "feature_vector[2] is nan, not a finite number"),
+        "infinite_feature": ({"feature_vector": features[:-1] + [-math.inf]},
+                             f"feature_vector[{len(features) - 1}] is -inf, not a finite number"),
+        "negative_d_star": ({"d_star": -1.0},
+                            f"d_star -1.0 is not (plan_len - g) - quick_h = {record['d_star']}"),
+        "g_past_plan": ({"g": plan_len + 1}, f"g {plan_len + 1} is outside 0 <= g < plan_len {plan_len}"),
+        "negative_g": ({"g": -1}, f"g -1 is outside 0 <= g < plan_len {plan_len}"),
+        "quick_h_not_feature_0": ({"quick_h": quick_h + 1}, f"quick_h {quick_h + 1} is not feature_vector[0]"),
+        "wrong_section": ({"section": other},
+                          f"section '{other}' is not '{record['section']}', the section of g {g} in plan_len {plan_len}"),
+        "second_domain": ({"domain": "stp"}, "domain stp, record 1 has maze"),
+    }[name]
+    return {**record, **edit}, reason
+
+
+_POOL_EDITS = ["nan_feature", "infinite_feature", "negative_d_star", "g_past_plan", "negative_g",
+               "quick_h_not_feature_0", "wrong_section", "second_domain", "truncated_line"]
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "export-prompts"])
+@pytest.mark.parametrize("edit", _POOL_EDITS)
+def test_pool_record_that_no_solve_writes_names_it(pool_file, tmp_path, capsys, command, edit):
+    # Each edit of one seeded record would otherwise train, select or export
+    # with exit 0 from an example whose target or features are wrong.
+    lines = Path(pool_file).read_text().splitlines(keepends=True)
+    number = random.Random(derive_seed(MASTER_SEED, "pool-edit", edit)).randrange(2, len(lines) + 1)
+    if edit == "truncated_line":
+        line, where = lines[number - 1][:40] + "\n", f":{number}: "
+    else:
+        record, reason = _pool_edit(json.loads(lines[number - 1]), edit)
+        line, where = json.dumps(record) + "\n", f": record {number}: {reason}\n"
+    bad = tmp_path / "edited.jsonl"
+    bad.write_text("".join(lines[: number - 1]) + line + "".join(lines[number:]))
+    out = tmp_path / "out"
+    flags = {"sample": ["--strategy", "semdedup", "--budget", "50"]}.get(command, [])
+    assert run_cli([command, "--pool", bad, "--out", out, *flags]) == 3
+    assert f"error: {bad}{where}" in capsys.readouterr().err
     assert not out.exists()
 
 

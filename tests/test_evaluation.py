@@ -27,7 +27,7 @@ from heurlab.evaluation import (
 )
 from heurlab import cli, evaluation, generation, models, pipeline
 from heurlab.models import LearnedHeuristic, predict_batch, train_residual_model
-from heurlab.search import QuickHeuristic, SearchLimits, SearchResult, Status, TieBreak, ZeroHeuristic, astar
+from heurlab.search import QuickHeuristic, SearchResult, Status, TieBreak, ZeroHeuristic, astar
 from heurlab.util import read_jsonl, serial_sum
 
 
@@ -142,7 +142,7 @@ def test_compute_references_match_bfs(maze_train_150):
 
 def test_compute_references_reports_failures(maze_train_150):
     subset = maze_train_150[:4]
-    references, failed = compute_references(subset, limits=SearchLimits(max_iterations=1))
+    references, failed = compute_references(subset, max_iterations=1)
     assert references == {}
     assert failed == [inst.id for inst in subset]
 
@@ -436,7 +436,7 @@ def test_scoring_path_is_bit_identical_to_the_counter_implementation(monkeypatch
         merged = {}
         for _, references in runs:
             merged.update(references)
-        reports = [evaluation.solve_and_score([], merged, None, SearchLimits(), TieBreak.LARGER_G, 1) for _ in runs]
+        reports = [evaluation.solve_and_score([], merged, None, None, TieBreak.LARGER_G, 1) for _ in runs]
         expected = [_counter_metrics(results, merged) for results, _ in runs]
         assert reports == expected
         assert list(evaluation.mean_over_reports(reports).items()) == list(_counter_aggregate(expected).items())

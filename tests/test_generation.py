@@ -141,7 +141,7 @@ def reference_generate_maze(width, height, filt, seed):
             grid = [row[:] for row in base]
             broken = reference_break_boundary_walls(grid, start, goal, rng)
             instance = PuzzleInstance(Domain.MAZE, MazeBoard(freeze_grid(grid)), MazeState(start), goal, seed=seed)
-            result = astar(instance, QuickHeuristic(), limits=filt.search_limits())
+            result = astar(instance, QuickHeuristic(), filt.beta_max)
             searches += 1
             if filt.accepts(result):
                 instance.provenance.update(

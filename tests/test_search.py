@@ -17,13 +17,13 @@ from heurlab.oracle import NoiseSpec, NoisyOracle, oracle_tables
 from heurlab.search import (
     HeuristicEvaluator,
     QuickHeuristic,
-    SearchLimits,
     SearchNode,
     SearchResult,
     Status,
     TieBreak,
     ZeroHeuristic,
     astar,
+    astar_steps,
     reconstruct_path,
 )
 from heurlab.util import derive_seed
@@ -115,7 +115,7 @@ def test_frontier_exhausted_when_goal_unreachable():
 
 def test_iteration_limit_counts_closed_nodes():
     inst = maze.parse_ascii(OPEN_ROOM)
-    result = astar(inst, QuickHeuristic(), SearchLimits(max_iterations=5))
+    result = astar(inst, QuickHeuristic(), max_iterations=5)
     assert result.status is Status.LIMIT_EXCEEDED
     assert result.closed_length == 5
     assert result.path == []
@@ -125,17 +125,17 @@ def test_goal_pop_wins_over_iteration_limit():
     # The goal test runs before the limit check, so a zero budget still
     # recognizes a start state that is already the goal.
     inst = stp.make_instance(tuple(range(9)), 3)
-    result = astar(inst, QuickHeuristic(), SearchLimits(max_iterations=0))
+    result = astar(inst, QuickHeuristic(), max_iterations=0)
     assert result.solved
     inst = maze.parse_ascii(OPEN_ROOM)
-    result = astar(inst, QuickHeuristic(), SearchLimits(max_iterations=0))
+    result = astar(inst, QuickHeuristic(), max_iterations=0)
     assert result.status is Status.LIMIT_EXCEEDED
     assert result.closed_length == 0
 
 
 def test_limits_validation():
     with pytest.raises(ValueError):
-        SearchLimits(max_iterations=-1)
+        astar(maze.parse_ascii(OPEN_ROOM), QuickHeuristic(), -1)
 
 
 def test_tie_break_larger_g_walks_the_plateau():
@@ -202,11 +202,10 @@ def test_wall_time_is_recorded(maze_train_150):
 # Equivalence with the engine as it was before the node table became the
 # heuristic memo, and optimality under inconsistent admissible heuristics.
 
-def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_G):
+def reference_astar(instance, heuristic, max_iterations=None, tie_break=TieBreak.LARGER_G):
     """The engine with a separate state-to-h memo and its own expansion
     counter. Returns (result, expansions)."""
     t0 = time.perf_counter()
-    limits = limits or SearchLimits()
     use_cache = getattr(heuristic, "cacheable", True)
     h_seen = {}
     heuristic_calls = 0
@@ -253,7 +252,7 @@ def reference_astar(instance, heuristic, limits=None, tie_break=TieBreak.LARGER_
             continue
         if domains.is_goal(node.state, instance):
             return result(Status.SOLUTION_FOUND, node)
-        if limits.max_iterations is not None and closed >= limits.max_iterations:
+        if max_iterations is not None and closed >= max_iterations:
             return result(Status.LIMIT_EXCEEDED)
         closed += 1
         expansions += 1
@@ -328,13 +327,13 @@ def _evaluator_factories(inst):
 
 
 def test_engine_matches_reference_engine():
-    limits = (SearchLimits(), SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25))
+    limits = (None, 3000, 25)
     seen = set()
     for inst in _random_instances():
         for name, make in _evaluator_factories(inst).items():
             for tie_break in TieBreak:
                 for limit in limits:
-                    if inst.domain is not domains.Domain.MAZE and limit == SearchLimits():
+                    if inst.domain is not domains.Domain.MAZE and limit is None:
                         continue  # uniform-cost search would sweep the whole state space
                     ours, theirs = RecordingEvaluator(make()), RecordingEvaluator(make())
                     got = astar(inst, ours, limit, tie_break)
@@ -392,8 +391,8 @@ def test_lockstep_matches_reference_engine_search_by_search():
     }
     for name, (make, cacheable) in makers.items():
         for tie_break in TieBreak:
-            for limit in (SearchLimits(), SearchLimits(max_iterations=3000), SearchLimits(max_iterations=25)):
-                subset = [inst for inst in instances if limit != SearchLimits() or inst.domain is domains.Domain.MAZE]
+            for limit in (None, 3000, 25):
+                subset = [inst for inst in instances if limit is not None or inst.domain is domains.Domain.MAZE]
                 wanted = []
                 for inst in subset:
                     theirs = RecordingEvaluator(CountingEvaluator(make(inst), cacheable))
@@ -449,6 +448,31 @@ def test_wall_time_is_the_charged_evaluator_time(monkeypatch):
     for (iid, want), (_, got) in zip(real, ticked):
         assert got.wall_time == got.heuristic_calls, iid
         assert (got.status, got.path, got.closed_length) == (want.status, want.path, want.closed_length), iid
+
+
+def test_engine_reads_no_clock(monkeypatch):
+    # The engine leaves timing to its callers: driven by hand with every
+    # clock of the time module broken, it still solves, and charges nothing.
+    inst = maze.parse_ascii(OPEN_ROOM)
+    quick = QuickHeuristic()
+    want = astar(inst, quick)
+
+    def broken():
+        raise AssertionError("the engine read a clock")
+
+    with monkeypatch.context() as patched:
+        for name in ("perf_counter", "monotonic", "time", "thread_time"):
+            patched.setattr(time, name, broken)
+        steps = astar_steps(inst)
+        try:
+            states, g = next(steps)
+            while True:
+                states, g = steps.send(quick.evaluate_batch(states, inst, g))
+        except StopIteration as done:
+            got = done.value
+    assert got.solved
+    assert (got.path, got.closed_length, got.heuristic_calls) == (want.path, want.closed_length, want.heuristic_calls)
+    assert got.wall_time == 0.0
 
 
 def test_uncacheable_evaluator_called_once_per_expansion_even_when_empty():
