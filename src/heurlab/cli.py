@@ -621,15 +621,18 @@ def run_pipeline(workdir: Path, cfg: dict, jobs: int, boards) -> Path:
     summaries = {(row, split): stage(f"eval/{row}_{split}", f"eval/{row}_{split}_summary.csv", build_eval, row, split)
                  for row in strategies for split in eval_splits}
 
-    # 7. comparison table (non-timing metrics only, so reruns diff clean)
+    # 7. comparison table (non-timing metrics only, so reruns diff clean).
+    # A skipped eval, or one where no instance has a reference, scores
+    # nothing, so its cells stay empty rather than read as a score of 0.
     def build_comparison(path):
         rows = []
         for row in strategies:
             entry = {"strategy": row}
             for split, tag in (("test_iid", "iid"), ("test_ood", "ood")):
                 summary = evaluation.read_rows_csv(summaries[row, split])[0]
+                scored = summary.get("n_total", "0") != "0"
                 for col in evaluation.HEADLINE_METRICS:
-                    entry[f"{tag}_{col}"] = "" if "skipped" in summary else summary[col]
+                    entry[f"{tag}_{col}"] = summary[col] if scored else ""
             rows.append(entry)
         evaluation.write_rows_csv(rows, path)
 

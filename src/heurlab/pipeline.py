@@ -221,6 +221,60 @@ def prepare_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(points.T), np.einsum("ij,ij->i", points, points)
 
 
+def _rows_per_block(m: int) -> int:
+    return max(1, DISTANCE_BLOCK_FLOATS // (8 * m))
+
+
+def _screen(
+    q: np.ndarray, points: np.ndarray, prepared: tuple[np.ndarray, np.ndarray], nearest: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill ``nearest``, shaped ``(len(q), k)``, with the ``k`` nearest
+    ``points`` to each row of the block ``q``, as ``nearest_neighbors``
+    orders them. Returns the screen's bounds ``lower <= D <= upper`` (each
+    ``(len(q), m)``) on every squared distance D, true or as the exact sum
+    computes it; see ``nearest_neighbors``.
+
+    A row with one survivor (only possible at k = 1) takes it as its nearest
+    point unmeasured; the survivors of every other row get the exact sum.
+    """
+    k = nearest.shape[1]
+    points_t, points_sq = prepared
+    d, m = points_t.shape
+    scale = 8.0 * (d + 4)
+    err = np.add.outer(np.einsum("ij,ij->i", q, q), points_sq)
+    approx = q @ points_t
+    approx *= -2.0
+    approx += err
+    err *= scale * _EPS
+    err += scale * _TINY
+    upper = approx + err
+    lower = np.subtract(approx, err, out=approx)
+    # fmin, like partition, passes over NaN, and takes a third of its time.
+    if k == 1:
+        kth = np.fmin.reduce(upper, axis=1, keepdims=True)
+    else:
+        kth = np.partition(upper, k - 1, axis=1)[:, k - 1, None]
+    row, col = np.divmod(np.flatnonzero(~(lower > kth)), m)
+    measured = np.arange(len(q))
+    if k == 1:
+        count = np.bincount(row, minlength=len(q))
+        alone = count[row] == 1
+        nearest[count == 1, 0] = col[alone]
+        row, col = row[~alone], col[~alone]
+        measured = np.flatnonzero(count > 1)
+    d2 = np.empty(len(row))
+    chunk = max(1, DISTANCE_BLOCK_FLOATS // max(1, d))
+    for s in range(0, len(row), chunk):
+        diff = q[row[s : s + chunk]] - points[col[s : s + chunk]]
+        np.square(diff, out=diff)
+        d2[s : s + chunk] = diff.sum(axis=1)
+    # Every measured row keeps at least k survivors, grouped by row after the sort.
+    order = np.lexsort((col, d2, row))
+    first = np.searchsorted(row, measured)
+    nearest[measured] = col[order][first[:, None] + np.arange(k)]
+    return lower, upper
+
+
 def nearest_neighbors(
     queries: np.ndarray,
     points: np.ndarray,
@@ -243,40 +297,21 @@ def nearest_neighbors(
     which totals γ_d·S for the norms and γ_d·S for 2·q·p; the two final
     additions add u·S and 2u·S more. The exact sum itself is off from the
     true distance D by γ_(d+2)·D, with D <= 2S. So |screen - exact| <=
-    (2γ_d + 3u + 2γ_(d+2))·S ≈ (2d + 3.5)·eps·S <= 2(d + 4)·eps·S. ``err``
-    takes 8(d + 4)·eps·S, four times that, to cover its own rounding; the
+    (2γ_d + 3u + 2γ_(d+2))·S ≈ (2d + 3.5)·eps·S <= 2(d + 4)·eps·S, and
+    |screen - D| is smaller still. ``err`` takes 8(d + 4)·eps·S, four times
+    that, to cover its own rounding and that of ``screen ± err``; the
     absolute term 8(d + 4)·2⁻¹⁰⁷⁴ covers the products that underflow into
     subnormals, each off by at most half of 2⁻¹⁰⁷⁴. Writing the test as
     ``~(lower > kth)`` sends NaN and inf screens to the exact path.
     """
-    m, d = points.shape
+    m = len(points)
     if not 1 <= k <= m:
         raise ValueError(f"k={k} must lie in 1..{m}")
-    points_t, points_sq = prepare_points(points) if prepared is None else prepared
-    scale = 8.0 * (d + 4)
-    rows = max(1, DISTANCE_BLOCK_FLOATS // (8 * m))
-    chunk = max(1, DISTANCE_BLOCK_FLOATS // max(1, d))
+    prepared = prepare_points(points) if prepared is None else prepared
+    rows = _rows_per_block(m)
     nearest = np.empty((len(queries), k), dtype=np.intp)
     for start in range(0, len(queries), rows):
-        q = queries[start : start + rows]
-        err = np.add.outer(np.einsum("ij,ij->i", q, q), points_sq)
-        approx = q @ points_t
-        approx *= -2.0
-        approx += err
-        err *= scale * _EPS
-        err += scale * _TINY
-        kth = np.partition(approx + err, k - 1, axis=1)[:, k - 1, None]
-        lower = np.subtract(approx, err, out=approx)
-        row, col = np.divmod(np.flatnonzero(~(lower > kth)), m)
-        d2 = np.empty(len(row))
-        for s in range(0, len(row), chunk):
-            diff = q[row[s : s + chunk]] - points[col[s : s + chunk]]
-            np.square(diff, out=diff)
-            d2[s : s + chunk] = diff.sum(axis=1)
-        # Every row keeps at least k survivors, grouped by row after the sort.
-        order = np.lexsort((col, d2, row))
-        first = np.searchsorted(row, np.arange(len(q)))
-        nearest[start : start + len(q)] = col[order][first[:, None] + np.arange(k)]
+        _screen(queries[start : start + rows], points, prepared, nearest[start : start + rows])
     return nearest
 
 
@@ -284,9 +319,38 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     """Plain Lloyd iterations with seeded initialization, at most ``KMEANS_MAX_ITER``.
 
     Returns (labels, centroids). Empty clusters keep their previous centroid;
-    a point equally near several centroids joins the first.
+    a point equally near several centroids joins the first. Labels and
+    centroids are those of the loop that measures every point against every
+    centroid with ``nearest_neighbors`` each iteration, bit for bit.
+
+    Only the points that may change cluster are measured (Hamerly, "Making
+    k-means even faster", SDM 2010). Each point carries ``hi``, an upper
+    bound on its true distance to its own centroid, and ``lo``, a lower
+    bound on its true distance to every other. A measured point takes them
+    from the square roots of the screen's bounds (see ``nearest_neighbors``).
+    After the centroids move, ``hi`` grows by its own centroid's move and
+    ``lo`` shrinks by the largest move of any other centroid (triangle
+    inequality). Each square root, sum and difference that makes a bound is
+    stepped one ulp outward, which covers its half-ulp rounding.
+
+    The margin. A point keeps its label unmeasured when
+    ``hi²·(1 + ρ) + τ < lo²·(1 - ρ)``, with ρ = 8(d + 4)·eps and
+    τ = 8(d + 4)·2⁻¹⁰⁷⁴ as in the screen. The exact sum that decides a label
+    is within γ_(d+2)·D + d·2⁻¹⁰⁷⁵ of the true squared distance D (as in
+    ``nearest_neighbors``, plus the squares that underflow), and ρ and τ
+    exceed twice that with room for the test's own five roundings. So a
+    point that passes has its own centroid's exact sum strictly below every
+    other, and a tie always goes back to the screen and its first-index
+    rule. A moved centroid's bound ``sqrt(s·(1 + ρ) + τ)``, for its computed
+    sum s of squared coordinate changes, holds by the same argument. A bound
+    that is NaN or infinite fails the test, so its point is measured.
+
+    The update walks one stable argsort of the labels, so each cluster's
+    members are the rows of ``vectors[labels == c]`` in the same order. Only
+    the clusters that some point joined or left are recomputed: any other
+    keeps its members, so its mean would come out the same.
     """
-    n = len(vectors)
+    n, d = vectors.shape
     if n == 0:
         raise ValueError("kmeans needs at least one vector")
     k = max(1, min(k, n))
@@ -296,15 +360,46 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     rng = random.Random(seed)
     centroids = vectors[rng.sample(range(n), k)].astype(float)
     labels = np.zeros(n, dtype=int)
-    for _ in range(KMEANS_MAX_ITER):
-        new_labels = nearest_neighbors(vectors, centroids, 1)[:, 0]
-        if np.array_equal(new_labels, labels) and _ > 0:
+    hi = np.full(n, np.nan)  # no bounds yet, so every point is measured
+    lo = np.full(n, np.nan)
+    rho, tau = 8.0 * (d + 4) * _EPS, 8.0 * (d + 4) * _TINY
+    rows = _rows_per_block(k)
+    for it in range(KMEANS_MAX_ITER):
+        sure = hi * hi * (1.0 + rho) + tau < np.square(np.maximum(lo, 0.0)) * (1.0 - rho)
+        measure = np.flatnonzero(~(sure & np.isfinite(lo)))
+        new_labels = labels.copy()
+        prepared = prepare_points(centroids)
+        for start in range(0, len(measure), rows):
+            at = measure[start : start + rows]
+            nearest = np.empty((len(at), 1), dtype=np.intp)
+            lower, upper = _screen(vectors[at], centroids, prepared, nearest)
+            own = (np.arange(len(at)), nearest[:, 0])
+            new_labels[at] = own[1]
+            hi[at] = np.nextafter(np.sqrt(upper[own]), np.inf)
+            lower[own] = np.inf
+            lo[at] = np.nextafter(np.sqrt(np.maximum(lower.min(axis=1), 0.0)), -np.inf)
+        changed = np.flatnonzero(new_labels != labels)
+        if it > 0 and len(changed) == 0:
             break
+        moved = np.concatenate((labels[changed], new_labels[changed]))
+        touched = np.arange(k) if it == 0 else np.flatnonzero(np.bincount(moved, minlength=k))
         labels = new_labels
-        for c in range(k):
-            members = vectors[labels == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+        before = centroids[touched]
+        for c in touched.tolist():
+            begin = ends[c - 1] if c else 0
+            if begin < ends[c]:
+                centroids[c] = vectors[order[begin : ends[c]]].mean(axis=0)
+        change = centroids[touched] - before
+        moves = np.zeros(k)
+        moves[touched] = np.nextafter(np.sqrt(np.einsum("ij,ij->i", change, change) * (1.0 + rho) + tau), np.inf)
+        hi += moves[labels]
+        np.nextafter(hi, np.inf, out=hi)
+        # Largest moves last; a NaN sorts last too, and reaches every other point's lo.
+        top, runner_up = np.argsort(moves)[[-1, -2]]
+        lo -= np.where(labels == top, moves[runner_up], moves[top])
+        np.nextafter(lo, -np.inf, out=lo)
     return labels, centroids
 
 
@@ -377,7 +472,8 @@ def _dedup_survivors(clusters: list[tuple], step: int) -> list[int]:
             continue
         above = level > step
         alive = [True] * len(idxs)
-        for a in range(len(idxs)):
+        # A member with no too-similar partner after it changes nothing here.
+        for a in np.flatnonzero(above.any(axis=1)).tolist():
             if not alive[a]:
                 continue
             for b in np.flatnonzero(above[a]).tolist():

@@ -1199,6 +1199,24 @@ def test_pipeline_leaves_out_the_instances_a_capped_search_does_not_solve(tmp_pa
         assert errors == [{"kind": "error", "instance_id": iid, "error": "missing_reference"} for iid in unsolved]
 
 
+def test_pipeline_leaves_a_split_without_references_unscored(tmp_path, capsys):
+    # At this cap no test_ood maze gets a reference solve, so that split has
+    # nothing to score: its comparison cells stay empty, as for a skipped
+    # eval, and do not read 0, the score of a model that solves nothing.
+    wd = tmp_path / "wd"
+    argv = ["pipeline", "--workdir", wd, "--domain", "maze", "--scale", "0.01", "--strategies", "uniform",
+            "--max-iterations", "150", "--seed", "0"]
+    assert run_cli(argv) == 0
+    n_ood = len(generation.read_split(wd / "instances" / "test_ood"))
+    assert f"  test_ood: {n_ood} instances had no reference solve; excluded\n" in capsys.readouterr().err
+    [summary] = evaluation.read_rows_csv(wd / "eval" / "uniform_test_ood_summary.csv")
+    assert summary["n_total"] == "0"
+    [row] = evaluation.read_rows_csv(wd / "comparison.csv")
+    for col in evaluation.HEADLINE_METRICS:
+        assert row[f"iid_{col}"] != ""
+        assert row[f"ood_{col}"] == ""
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--budget", "-5"), ("--budget", "0"), ("--tau", "0"), ("--tau", "nan"),
     ("--combined-tau", "-1.5"), ("--k", "0"),

@@ -280,6 +280,13 @@ def test_padded_wall_cache_stays_within_its_bound(maze_train_150, monkeypatch):
     assert [walls for walls, _, _ in base._padded_grids.values()] == [inst.board.walls for inst in boards[-3:]]
 
 
+def test_padded_wall_cache_holds_two_lockstep_rounds():
+    # One lockstep round asks for features on up to LOCKSTEP boards; a cache
+    # narrower than two rounds evicts grids that the next round needs again.
+    # At LOCKSTEP 16 with 8 entries the maze evals ran slower than at 4.
+    assert base.PADDED_WALLS_CACHE_SIZE >= 2 * evaluation.LOCKSTEP
+
+
 def test_per_width_tables_are_bounded():
     for width in range(2, 2 + stp.TABLE_WIDTHS + 3):
         stp.tables(width)
