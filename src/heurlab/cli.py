@@ -104,6 +104,22 @@ def _comma_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _refuse_repeats(flag: str, entries: list) -> None:
+    repeated = list(dict.fromkeys(e for e in entries if entries.count(e) > 1))
+    if repeated:
+        raise UsageError(f"{flag} names {repeated} more than once")
+
+
+class _SigmaList(FINITE_NONNEGATIVE):
+    """``--sigmas``: at least one entry, each finite and nonnegative, none twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        if not values:
+            raise UsageError(f"{self.option_strings[0]} names nothing")
+        _refuse_repeats(self.option_strings[0], values)
+
+
 def _name_list(flag: str, text: str, known, every: list[str] | None = None) -> list[str]:
     """The names of ``flag``'s comma list ``text``, each one of ``known`` and
     none twice; an empty list stands for ``every``, and is refused without it."""
@@ -111,9 +127,7 @@ def _name_list(flag: str, text: str, known, every: list[str] | None = None) -> l
     unknown = [n for n in names if n not in known]
     if unknown:
         raise UsageError(f"unknown {flag.lstrip('-')} {unknown}; choose from {list(known)}")
-    repeated = list(dict.fromkeys(n for n in names if names.count(n) > 1))
-    if repeated:
-        raise UsageError(f"{flag} names {repeated} more than once")
+    _refuse_repeats(flag, names)
     if names:
         return names
     if every is None:
@@ -176,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = register("oracle-study", "noise-injected exact-heuristic study on mazes")
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--sigmas", type=_comma_floats, default=[2.0, 4.0, 6.0], action=FINITE_NONNEGATIVE)
+    p.add_argument("--sigmas", type=_comma_floats, default=[2.0, 4.0, 6.0], action=_SigmaList)
     p.add_argument("--noise-seeds", type=int, default=3, action=POSITIVE, help="number of derived noise seeds")
     p.add_argument("--margin", type=float, default=0.05, action=FINITE)
     p.add_argument("--assert-ordering", action="store_true",
@@ -308,14 +322,26 @@ def _boxoban(path: str | None) -> str:
     return path
 
 
+def _check_heuristic_options(args) -> None:
+    """Before any file is read: ``--heuristic learned`` needs ``--model``, and
+    another heuristic refuses the options that only the learned one reads
+    (only eval has the last two)."""
+    if args.heuristic == "learned":
+        if not args.model:
+            raise UsageError("--heuristic learned needs --model")
+        return
+    learned_only = ("model", "no_residual_floor", "round_predictions")
+    given = ["--" + dest.replace("_", "-") for dest in learned_only if getattr(args, dest, None)]
+    if given:
+        raise UsageError(f"--heuristic {args.heuristic} does not read {', '.join(given)}")
+
+
 def _evaluator(args, instances):
     """The ``--heuristic`` evaluator; a model is loaded and checked against ``instances`` before any solve."""
     if args.heuristic == "quick":
         return evaluation.QuickHeuristic()
     if args.heuristic == "zero":
         return ZeroHeuristic()
-    if not args.model:
-        raise UsageError("--heuristic learned needs --model")
     model = models.load_model(args.model)
     reason = models.mismatch_reason(model, instances)
     if reason:
@@ -367,6 +393,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_heuristic_options(args)
     instances = generation.read_split(args.instances)
     results = evaluation.solve_all(
         instances, _evaluator(args, instances), args.max_iterations, TieBreak(args.tie_break), args.jobs
@@ -450,6 +477,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_heuristic_options(args)
     instances = generation.read_split(args.instances)
     evaluator = _evaluator(args, instances)
     if args.references and Path(args.references).exists():

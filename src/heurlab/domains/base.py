@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +20,9 @@ DIRECTIONS: tuple[tuple[str, Cell], ...] = (
 )
 
 OPPOSITE_ACTION = {"up": "down", "down": "up", "left": "right", "right": "left"}
+
+WINDOW_RADIUS = 2
+WINDOW_SIDE = 2 * WINDOW_RADIUS + 1
 
 
 class Domain(str, Enum):
@@ -109,6 +113,23 @@ class PuzzleInstance:
     seed: int | None = None
     provenance: dict = field(default_factory=dict, compare=False)
 
+    @functools.cached_property
+    def padded_walls(self) -> tuple[list[float], int]:
+        """A maze or Sokoban board's walls as one flat row-major list of 1.0
+        (wall) and 0.0 (floor), ringed by ``WINDOW_RADIUS`` rows and columns of
+        wall, and its width. Built on first use and kept in the instance's
+        ``__dict__``, outside the fields, so equality and hash ignore it."""
+        walls = self.board.walls
+        width = len(walls[0]) + 2 * WINDOW_RADIUS
+        ring = [1.0] * WINDOW_RADIUS
+        grid = [1.0] * (width * WINDOW_RADIUS)
+        for row in walls:
+            grid += ring
+            grid += [1.0 if is_wall else 0.0 for is_wall in row]
+            grid += ring
+        grid += [1.0] * (width * WINDOW_RADIUS)
+        return grid, width
+
 
 def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
@@ -158,42 +179,10 @@ def render_grid(walls, floor: str, overlay: dict[Cell, str]) -> str:
     return "\n".join("".join(row) for row in rows)
 
 
-WINDOW_RADIUS = 2
-WINDOW_SIDE = 2 * WINDOW_RADIUS + 1
-# Boards whose padded wall grid is kept: twice the boards that one round of
-# lockstep searches (evaluation.LOCKSTEP = 4) touches. A 21x21 maze's grid
-# takes 5 kB.
-PADDED_WALLS_CACHE_SIZE = 8
-
-_padded_grids: dict[int, tuple] = {}  # id(walls) -> (walls, flat grid, grid width)
-
-
-def _padded_grid(walls) -> tuple[list[float], int]:
-    """``walls`` as one flat row-major list of 1.0 (wall) and 0.0 (floor),
-    ringed by ``WINDOW_RADIUS`` rows and columns of wall, and its width.
-    The last ``PADDED_WALLS_CACHE_SIZE`` grids built are kept, keyed by the
-    identity of ``walls``; the oldest goes first."""
-    entry = _padded_grids.get(id(walls))
-    if entry is not None and entry[0] is walls:
-        return entry[1], entry[2]
-    width = len(walls[0]) + 2 * WINDOW_RADIUS
-    ring = [1.0] * WINDOW_RADIUS
-    grid = [1.0] * (width * WINDOW_RADIUS)
-    for row in walls:
-        grid += ring
-        grid += [1.0 if is_wall else 0.0 for is_wall in row]
-        grid += ring
-    grid += [1.0] * (width * WINDOW_RADIUS)
-    if len(_padded_grids) >= PADDED_WALLS_CACHE_SIZE:
-        del _padded_grids[next(iter(_padded_grids))]
-    _padded_grids[id(walls)] = (walls, grid, width)
-    return grid, width
-
-
-def wall_window(walls, center: Cell) -> list[float]:
-    """Flattened (2r+1)^2 window of walls around ``center``, r = ``WINDOW_RADIUS``,
-    row-major; out-of-board counts as wall."""
-    grid, width = _padded_grid(walls)
+def wall_window(instance: PuzzleInstance, center: Cell) -> list[float]:
+    """Flattened (2r+1)^2 window of ``instance``'s walls around ``center``,
+    r = ``WINDOW_RADIUS``, row-major; out-of-board counts as wall."""
+    grid, width = instance.padded_walls
     top_left = center[0] * width + center[1]  # the padding shifts the window's corner onto the cell's own index
     out = []
     for start in range(top_left, top_left + WINDOW_SIDE * width, width):

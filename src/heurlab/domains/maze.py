@@ -119,5 +119,5 @@ def feature_vector(state: MazeState, instance: PuzzleInstance) -> list[float]:
         (gr - r) / (h - 1),
         (gc - c) / (w - 1),
     ]
-    feats.extend(wall_window(walls, state.player))
+    feats.extend(wall_window(instance, state.player))
     return feats

@@ -121,7 +121,7 @@ def feature_vector(state: SokobanState, instance: PuzzleInstance) -> list[float]
         sum(pair_dists) / len(pair_dists),
         float(max(pair_dists)),
     ]
-    feats.extend(wall_window(walls, player))
+    feats.extend(wall_window(instance, player))
     feats.extend(cells_window(state.boxes, player))
     feats.extend(cells_window(docks, player))
     return feats

@@ -1,9 +1,11 @@
 """Row-blocked distances and per-cluster dedup geometry against the
 full-broadcast reference implementations they replaced.
 
-The references below are the earlier code verbatim: one ``(n, m, d)``
-broadcast per k-means iteration and per k-NN prediction, and a dedup pass that
-rebuilds every cluster's cosine matrix at each threshold. The blocked versions,
+The references below are the earlier code: one ``(n, m, d)`` broadcast per
+k-means iteration and per k-NN prediction, and a dedup pass that rebuilds
+every cluster's cosine matrix at each threshold. The k-means reference labels
+each point by the first column of a stable argsort, not ``argmin``: the same
+label on finite data, and a NaN distance ordered last. The blocked versions,
 and the dedup ladder's one-byte pair levels, must reproduce them bit for bit.
 """
 
@@ -33,7 +35,8 @@ def reference_kmeans(vectors, k, seed, max_iter=50):
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
         d2 = ((vectors[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
+        # argmin on finite data; a NaN distance goes last, as pipeline.kmeans orders it
+        new_labels = np.argsort(d2, axis=1, kind="stable")[:, 0]
         if np.array_equal(new_labels, labels) and _ > 0:
             break
         labels = new_labels

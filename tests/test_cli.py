@@ -695,6 +695,36 @@ def test_solve_rejects_a_model_of_another_domain(tile_split_dir, model_file, tmp
     assert not out.exists()
 
 
+# The heuristic's options are checked before the split is read, so the
+# missing --instances folder below is never opened.
+@pytest.mark.parametrize("flags, error", [
+    (["--model", "m.json"], "--heuristic quick does not read --model"),
+    (["--heuristic", "zero", "--model", "m.json"], "--heuristic zero does not read --model"),
+    (["--heuristic", "learned"], "--heuristic learned needs --model"),
+])
+def test_solve_refuses_a_model_unless_learned(tmp_path, capsys, flags, error):
+    out = tmp_path / "runs.jsonl"
+    assert run_cli(["solve", "--instances", tmp_path / "no_split", "--out", out] + flags) == 2
+    assert f"usage error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--heuristic", "quick", "--model", "m.json"], "--heuristic quick does not read --model"),
+    (["--heuristic", "zero", "--no-residual-floor"], "--heuristic zero does not read --no-residual-floor"),
+    (["--heuristic", "quick", "--model", "m.json", "--no-residual-floor", "--round-predictions"],
+     "--heuristic quick does not read --model, --no-residual-floor, --round-predictions"),
+    (["--round-predictions"], "--heuristic learned needs --model"),
+])
+def test_eval_refuses_learned_options_unless_learned(tmp_path, capsys, flags, error):
+    # Unread, --model would still change the report's config_hash.
+    refs, out = tmp_path / "r.jsonl", tmp_path / "rep"
+    argv = ["eval", "--instances", tmp_path / "no_split", "--references", refs, "--out", out] + flags
+    assert run_cli(argv) == 2
+    assert f"usage error: {error}" in capsys.readouterr().err
+    assert not refs.exists() and not out.exists()
+
+
 def test_sample_section_split_needs_section(pool_file, tmp_path, capsys):
     code = run_cli(["sample", "--pool", pool_file, "--out", str(tmp_path / "s.jsonl"),
                     "--strategy", "section_split", "--budget", "9"])
@@ -919,18 +949,26 @@ def test_oracle_study_table_and_assert_flag(split_dir, tmp_path, capsys):
     assert "ordering violated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-def test_oracle_study_refuses_a_bad_sigma_before_solving(split_dir, tmp_path, capsys, monkeypatch, sigma):
+@pytest.mark.parametrize("sigmas, error", [
+    *[pytest.param(f"2.0,{sigma}", f"--sigmas must be finite and nonnegative, got {float(sigma)}", id=sigma)
+      for sigma in ("-1", "nan", "inf")],
+    # No sigma leaves the ordering nothing to compare; a repeated one would write its rows twice.
+    pytest.param("", "--sigmas names nothing", id="empty"),
+    pytest.param(" , ", "--sigmas names nothing", id="blank"),
+    pytest.param("2,2", "--sigmas names [2.0] more than once", id="repeated"),
+    pytest.param("4,2.0,4.0,2,6", "--sigmas names [4.0, 2.0] more than once", id="two-repeated"),
+])
+def test_oracle_study_refuses_a_bad_sigma_before_solving(split_dir, tmp_path, capsys, monkeypatch, sigmas, error):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking --sigmas")
 
     monkeypatch.setattr(evaluation, "compute_references", no_solve)
     out = tmp_path / "study"
     # The iteration cap makes a regression fail rather than run away.
-    argv = ["oracle-study", "--instances", split_dir, "--out", out, f"--sigmas=2.0,{sigma}", "--noise-seeds", "1",
-            "--max-iterations", "50"]
+    argv = ["oracle-study", "--instances", split_dir, "--out", out, f"--sigmas={sigmas}", "--noise-seeds", "1",
+            "--max-iterations", "50", "--assert-ordering"]
     assert run_cli(argv) == 2
-    assert f"usage error: --sigmas must be finite and nonnegative, got {float(sigma)}" in capsys.readouterr().err
+    assert f"usage error: {error}" in capsys.readouterr().err
     assert not out.exists()
 
 

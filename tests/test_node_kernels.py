@@ -9,11 +9,14 @@ for bit. The boards here carry no wall ring, so players and boxes stand on
 border cells and the windows reach off the board.
 """
 
+import dataclasses
+import pickle
 import random
+from collections import defaultdict
 
 import pytest
 
-from heurlab import domains, evaluation, pipeline
+from heurlab import domains, evaluation
 from heurlab.domains import (
     DIRECTIONS,
     Domain,
@@ -23,11 +26,12 @@ from heurlab.domains import (
     SokobanBoard,
     SokobanState,
     StpState,
-    base,
+    maze,
     stp,
 )
 from heurlab.domains.base import manhattan
 from heurlab.domains.sokoban import _assignment_cost
+from heurlab.models import LearnedHeuristic, train_residual_model
 
 WINDOW_RADIUS = 2
 
@@ -268,23 +272,40 @@ def test_a_returned_feature_vector_is_the_callers_own(domain):
         assert domains.feature_vector(state, inst) == want
 
 
-def test_padded_wall_cache_stays_within_its_bound(maze_train_150, monkeypatch):
-    monkeypatch.setattr(base, "_padded_grids", {})
-    monkeypatch.setattr(base, "PADDED_WALLS_CACHE_SIZE", 3)
-    boards = maze_train_150[:8]
-    results = evaluation.solve_all(boards, evaluation.QuickHeuristic())
-    pool, _ = pipeline.extract_pool([(inst, results[inst.id]) for inst in boards])  # a feature vector per path node
-    assert len(pool) > len(boards)
-    assert len(base._padded_grids) == 3
-    # The last boards solved are the ones kept, each under its own identity.
-    assert [walls for walls, _, _ in base._padded_grids.values()] == [inst.board.walls for inst in boards[-3:]]
+def test_a_learned_solve_builds_each_grid_once(maze_train_150, maze_pool_150, monkeypatch):
+    # Each instance keeps the grid it builds on first use, so a lockstep
+    # round of any width reads every board's grid without rebuilding it.
+    monkeypatch.setattr(evaluation, "LOCKSTEP", 16)
+    mazes = [dataclasses.replace(inst) for inst in maze_train_150[:20]]  # equal copies with no grid yet
+    assert not any("padded_walls" in inst.__dict__ for inst in mazes)
+    grids = defaultdict(list)  # id(instance) -> the grid of each window it gave
+    window = maze.wall_window
+
+    def recording(instance, center):
+        grids[id(instance)].append(instance.padded_walls)
+        return window(instance, center)
+
+    monkeypatch.setattr(maze, "wall_window", recording)
+    model = train_residual_model(maze_pool_150[:500], kind="knn", k=8, seed=0)
+    results = evaluation.solve_all(mazes, LearnedHeuristic(model))
+    assert sorted(grids) == sorted(id(inst) for inst in mazes)
+    for inst in mazes:
+        assert results[inst.id].solved
+        assert len(grids[id(inst)]) > 1
+        assert all(grid is inst.padded_walls for grid in grids[id(inst)])
 
 
-def test_padded_wall_cache_holds_two_lockstep_rounds():
-    # One lockstep round asks for features on up to LOCKSTEP boards; a cache
-    # narrower than two rounds evicts grids that the next round needs again.
-    # At LOCKSTEP 16 with 8 entries the maze evals ran slower than at 4.
-    assert base.PADDED_WALLS_CACHE_SIZE >= 2 * evaluation.LOCKSTEP
+@pytest.mark.parametrize("domain", [Domain.MAZE, Domain.SOKOBAN], ids=lambda d: d.value)
+def test_an_instance_pickled_with_its_grid_is_the_same_instance(domain):
+    cases = list(STATES[domain](random.Random(7)))[:80]
+    for state, inst in cases:
+        domains.feature_vector(state, inst)  # builds the instance's grid
+    for state, inst in cases:
+        assert "padded_walls" in inst.__dict__
+        clone = pickle.loads(pickle.dumps(inst))
+        assert clone == inst and hash(clone) == hash(inst)
+        assert clone.padded_walls == inst.padded_walls
+        assert domains.feature_vector(state, clone) == domains.feature_vector(state, inst)
 
 
 def test_per_width_tables_are_bounded():
