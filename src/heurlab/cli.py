@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.05, action=FINITE)
     p.add_argument("--assert-ordering", action="store_true",
                    help="exit 1 unless End > Middle > Initial by --margin at every sigma")
-    p.add_argument("--per-query", action="store_true", help="redraw noise on every query")
     p.add_argument("--no-clamp", action="store_true", help="allow negative noised heuristics")
     _limit_flags(p)
     p.set_defaults(func=cmd_oracle_study)
@@ -369,7 +368,6 @@ def _result_row(instance_id: str, res) -> dict:
         "status": res.status.value,
         "plan_length": res.path_length,
         "closed_length": res.closed_length,
-        "expansions": res.expansions,
         "heuristic_calls": res.heuristic_calls,
         "wall_time": res.wall_time,
     }
@@ -414,7 +412,6 @@ def cmd_oracle_study(args) -> int:
         seeds=noise_seeds,
         max_iterations=args.max_iterations,
         clamp_at_zero=not args.no_clamp,
-        per_query=args.per_query,
         jobs=args.jobs,
     )
     out = Path(args.out)

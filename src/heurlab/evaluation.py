@@ -89,7 +89,7 @@ def lockstep(
     results = [None] * len(instances)
     while True:
         for at, inst in islice(queue, LOCKSTEP - len(active)):
-            engine = astar_steps(inst, evaluator.cacheable, max_iterations, tie_break)
+            engine = astar_steps(inst, max_iterations, tie_break)
             t = clock()
             active.append((at, inst, engine, next(engine), clock() - t))
         if not active:
@@ -97,8 +97,8 @@ def lockstep(
         states = [s for *_, (batch, _), _ in active for s in batch]
         owners = [inst for _, inst, _, (batch, _), _ in active for _ in batch]
         t = clock()
-        values = evaluator.evaluate_pairs(states, owners) if states else []
-        per_row = (clock() - t) / len(states) if states else 0.0
+        values = evaluator.evaluate_pairs(states, owners)
+        per_row = (clock() - t) / len(states)
         row = 0
         live = []
         for at, inst, engine, (batch, _), charged in active:

@@ -165,12 +165,12 @@ def train_residual_model(
 class LearnedHeuristic(HeuristicEvaluator):
     """quick_heuristic + floored model residual; one feature matrix and one
     predict_batch call per evaluate_batch or evaluate_pairs, neither of which
-    reads a depth. The search engine reuses each state's value within a
-    search (``cacheable``, as every evaluator is by default). It defines
-    ``evaluate_pairs``, so ``evaluation.solve_all`` runs its searches in
-    lockstep with one call per round across instances; every step of the
-    prediction is row by row, so a state's value does not depend on the rows
-    that share its call."""
+    reads a depth. A value is a pure function of state, instance and depth
+    (here of the first two alone), so the engine asks about each state once
+    per search. It defines ``evaluate_pairs``, so ``evaluation.solve_all``
+    runs its searches in lockstep with one call per round across instances;
+    every step of the prediction is row by row, so a state's value does not
+    depend on the rows that share its call."""
 
     def __init__(self, model: ResidualModel, floor_at_zero: bool = True, round_predictions: bool = False):
         self.model = model

@@ -96,7 +96,6 @@ class NoiseSpec:
     oracle_sections: str = "all"  # a parse_sections selector; held as the parsed set
     noise_seed: int = 0
     clamp_at_zero: bool = True
-    per_query: bool = False  # redraw noise on every query instead of per state
 
     def __post_init__(self):
         if not 0 <= self.sigma < float("inf"):  # refuses NaN too
@@ -108,21 +107,17 @@ class NoisyOracle(HeuristicEvaluator):
     """Exact h* inside the NoiseSpec's oracle sections, h* + N(0, sigma) elsewhere.
 
     One oracle serves a solve: ``tables`` maps instance ids to exact distance
-    tables (``oracle_tables``). Noise is a pure function of (noise_seed, state
-    key), so a state keeps its perturbed value across re-encounters and runs
-    reproduce exactly. The per_query switch instead redraws on every
-    evaluation, counting draws per instance id, and disables the engine's
-    per-state reuse. Section classification uses the request's one depth g
-    against the instance's optimal plan length, its table's value at the
-    start; as the value depends on depth, the oracle does not batch across
-    instances.
+    tables (``oracle_tables``). A value is a pure function of state, instance
+    and depth: noise is a pure function of (noise_seed, state key), so a state
+    keeps its perturbed value across re-encounters and runs reproduce exactly.
+    Section classification uses the request's one depth g against the
+    instance's optimal plan length, its table's value at the start; as the
+    value depends on depth, the oracle does not batch across instances.
     """
 
     def __init__(self, spec: NoiseSpec, tables: Mapping[str, dict[bytes, int]]):
         self.spec = spec
         self.tables = tables
-        self.cacheable = not spec.per_query
-        self._draws = {}  # per_query draws so far, by instance id
 
     def evaluate_batch(self, states, instance, g):
         spec = self.spec
@@ -145,11 +140,7 @@ class NoisyOracle(HeuristicEvaluator):
             if exact:
                 out.append(float(d))
                 continue
-            draw = 0
-            if spec.per_query:
-                draw = self._draws.get(instance.id, 0)
-                self._draws[instance.id] = draw + 1
-            value = d + spec.sigma * unit_normal(spec.noise_seed, key, draw)
+            value = d + spec.sigma * unit_normal(spec.noise_seed, key)
             if spec.clamp_at_zero and value < 0:
                 value = 0.0
             out.append(value)
@@ -166,7 +157,6 @@ def run_oracle_experiment(
     seeds: Iterable[int],
     max_iterations: int | None = None,
     clamp_at_zero: bool = True,
-    per_query: bool = False,
     jobs: int = 1,
 ):
     """Solve every instance under every (kept-exact section, sigma, seed) mix.
@@ -183,7 +173,7 @@ def run_oracle_experiment(
     for sigma in sigmas:
         for section in SectionLabel:
             for seed in seeds:
-                spec = NoiseSpec(sigma, section, seed, clamp_at_zero=clamp_at_zero, per_query=per_query)
+                spec = NoiseSpec(sigma, section, seed, clamp_at_zero=clamp_at_zero)
                 oracles[section.value, sigma, seed] = NoisyOracle(spec, tables)
     references, failed = evaluation.compute_references(instances, max_iterations, jobs)
     if failed:

@@ -12,8 +12,9 @@ terminal goal selection returns before being closed, so with an exact oracle
 heuristic and larger-g tie-breaking it equals the optimal plan length.
 
 The table of best nodes per state key is also the heuristic memo: every
-evaluated state enters it and never leaves, so a cacheable evaluator is asked
-only about states not yet in it.
+evaluated state enters it and never leaves, and an evaluator's value is a
+pure function of (state, instance, depth), so the engine asks about each
+distinct state once per search, when it is first generated.
 
 The engine is one generator, ``astar_steps``, which yields each evaluation
 request ``(states, g)``, one node's children and the depth they share (the
@@ -88,19 +89,15 @@ class SearchResult:
 class HeuristicEvaluator:
     """Batch heuristic interface consumed by the engine: one
     ``evaluate_batch(states, instance, g)`` per request, whose states share
-    the depth ``g``. One evaluator serves every search of a solve.
-
-    ``cacheable`` lets the engine reuse a state's value within one search, so
-    each distinct state is evaluated at most once; evaluators whose value is
-    not a pure function of the state opt out.
+    the depth ``g``. One evaluator serves every search of a solve. A value is
+    a pure function of state, instance and depth, so the engine asks about
+    each distinct state once per search and reuses the value.
 
     An evaluator batches across instances exactly when it defines
     ``evaluate_pairs(states, instances)``: state ``i`` of instance ``i``,
     with each value independent of the other rows. The rows carry no depth,
     so an evaluator whose value depends on depth does not define it.
     """
-
-    cacheable: bool = True
 
     def evaluate_batch(self, states, instance, g) -> list[float]:
         raise NotImplementedError
@@ -130,7 +127,6 @@ def reconstruct_path(node: SearchNode) -> list:
 
 def astar_steps(
     instance: domains.PuzzleInstance,
-    cacheable: bool = True,
     max_iterations: int | None = None,
     tie_break: TieBreak = TieBreak.LARGER_G,
 ) -> Generator[tuple[list, int], Sequence[float], SearchResult]:
@@ -140,10 +136,9 @@ def astar_steps(
     ``StopIteration.value``), with ``wall_time`` left for its caller to set.
     ``max_iterations`` caps ``closed_length``; ``None`` is no cap.
 
-    A cacheable evaluator is asked at most once per expansion, only about
-    children not yet in the node table, and not at all when every child is
-    known; an uncacheable one exactly once per expansion, empty requests
-    included."""
+    The evaluator is asked at most once per expansion, only about children
+    not yet in the node table, and not at all when every child is known, so
+    no request is empty."""
     if max_iterations is not None and max_iterations < 0:
         raise ValueError("max_iterations must be nonnegative")
     sign = -1 if tie_break is TieBreak.LARGER_G else 1  # heap entries are (f, sign*g, sign*seq, node)
@@ -183,15 +178,15 @@ def astar_steps(
         for _, s in successors(state, instance):
             k = s.key()
             children.append((s, k))
-            if not cacheable or k not in best:
+            if k not in best:
                 asked.append(s)
-        if asked or not cacheable:
+        if asked:
             values = yield asked, g_child
             values = iter(values)
             heuristic_calls += len(asked)
         for s, k in children:
             existing = best.get(k)
-            h = existing.h if cacheable and existing is not None else float(next(values))
+            h = existing.h if existing is not None else float(next(values))
             f = g_child + h
             if existing is not None and f >= existing.f:
                 continue
@@ -213,7 +208,7 @@ def astar(
     results, not errors. Drives ``astar_steps`` with one ``evaluate_batch``
     per request and charges the search all the time it took."""
     started = time.perf_counter()
-    steps = astar_steps(instance, heuristic.cacheable, max_iterations, tie_break)
+    steps = astar_steps(instance, max_iterations, tie_break)
     try:
         states, g = next(steps)
         while True:

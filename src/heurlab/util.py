@@ -36,13 +36,13 @@ def serial_sum(values: Iterable[float]) -> float:
     return total
 
 
-def unit_normal(seed: int, key: bytes, draw: int = 0) -> float:
-    """Standard-normal deviate that is a pure function of (seed, key, draw)."""
+def unit_normal(seed: int, key: bytes) -> float:
+    """Standard-normal deviate that is a pure function of (seed, key)."""
     h = hashlib.blake2b(digest_size=16)
     h.update(str(seed).encode("utf-8"))
     h.update(b"\x00")
     h.update(key)
-    h.update(draw.to_bytes(8, "big", signed=False))
+    h.update(bytes(8))  # part of the hashed input: every recorded noisy value depends on it
     d = h.digest()
     # Box-Muller; u1 lands in (0, 1] so the log stays finite.
     u1 = (int.from_bytes(d[:8], "big") + 1) / 2.0**64

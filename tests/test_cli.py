@@ -351,6 +351,9 @@ def test_solve_reports_every_instance(split_dir, tmp_path, capsys):
     assert all(r["status"] == "solution_found" for r in rows)
     assert all(r["plan_length"] > 20 for r in rows)
     assert [r["instance_id"] for r in rows] == sorted(r["instance_id"] for r in rows)
+    # closed_length is the expansion count; no second column repeats it.
+    fields = {"instance_id", "status", "plan_length", "closed_length", "heuristic_calls", "wall_time"}
+    assert all(r.keys() == fields and r["closed_length"] > 0 for r in rows)
 
 
 def test_solve_with_the_zero_heuristic_is_uniform_cost_search(split_dir, tmp_path):
@@ -1029,17 +1032,14 @@ def test_eval_ablation_flags_reach_the_learned_heuristic_and_its_searches(
     assert all(call["tie_break"] is tie_break for call in learned_searches)
 
 
-@pytest.mark.parametrize("flags, per_query, clamp_at_zero", [
-    ([], False, True), (["--per-query"], True, True), (["--no-clamp"], False, False),
-])
-def test_oracle_study_noise_flags_reach_every_noise_spec(split_dir, tmp_path, monkeypatch, flags, per_query,
-                                                         clamp_at_zero):
+@pytest.mark.parametrize("flags, clamp_at_zero", [([], True), (["--no-clamp"], False)])
+def test_oracle_study_noise_flags_reach_every_noise_spec(split_dir, tmp_path, monkeypatch, flags, clamp_at_zero):
     specs = _spy(monkeypatch, oracle, "NoiseSpec")
     argv = ["oracle-study", "--instances", split_dir, "--out", tmp_path / "o", "--sigmas", "2", "--noise-seeds", "1"]
     assert run_cli(argv + flags) == 0
     noisy = [spec for spec in specs if spec["sigma"] > 0]
     assert len(noisy) == 3  # one per section
-    assert all((spec["per_query"], spec["clamp_at_zero"]) == (per_query, clamp_at_zero) for spec in noisy)
+    assert all(spec["clamp_at_zero"] == clamp_at_zero for spec in noisy)
 
 
 @pytest.mark.parametrize("kind", ["knn", "linear"])

@@ -152,29 +152,6 @@ def test_clamping_keeps_values_nonnegative(maze_train_150):
     assert any(v < 0.0 for v in free.evaluate_batch(states, inst, g))
 
 
-def test_per_query_redraws_and_disables_caching(maze_train_150):
-    inst = maze_train_150[5]
-    table = oracle_distances(inst)
-    spec = NoiseSpec(sigma=5.0, oracle_sections="initial", noise_seed=4, per_query=True)
-    oracle = NoisyOracle(spec, {inst.id: table})
-    assert oracle.cacheable is False
-    states = _sample_states(inst, table, 10)
-    g = inst.provenance["plan_length"]
-    first = oracle.evaluate_batch(states, inst, g)
-    assert oracle.evaluate_batch(states, inst, g) != first
-    # Draws are counted per instance: one oracle serving two instances gives
-    # each the sequence an oracle of its own would.
-    other = maze_train_150[6]
-    shared = NoisyOracle(spec, {other.id: oracle_distances(other), inst.id: table})
-    other_states = _sample_states(other, shared.tables[other.id], 10)
-    assert shared.evaluate_batch(other_states, other, other.provenance["plan_length"]) != [
-        float(shared.tables[other.id][s.key()]) for s in other_states
-    ]
-    assert shared.evaluate_batch(states, inst, g) == first
-    fixed = NoisyOracle(NoiseSpec(sigma=5.0, oracle_sections="initial", noise_seed=4), {inst.id: table})
-    assert fixed.cacheable is True
-
-
 def test_disconnected_start_is_rejected():
     inst = maze.parse_ascii("\n".join(["#####", "#@#X#", "#####"]))
     with pytest.raises(ValueError, match="start state is not connected"):
@@ -202,13 +179,12 @@ def _untimed(report):
     return counts, [{k: v for k, v in row.items() if "wall" not in k and k != "itr"} for row in report.rows]
 
 
-@pytest.mark.parametrize("per_query", [False, True])
-def test_oracle_study_does_not_depend_on_jobs(maze_train_150, per_query):
+def test_oracle_study_does_not_depend_on_jobs(maze_train_150):
     # At jobs=2 whole passes go to worker processes; every pass must solve
-    # exactly as it does in-process, per-query draws included.
+    # exactly as it does in-process.
     instances = maze_train_150[:4]
     (rows, details), (rows_2, details_2) = [
-        run_oracle_experiment(instances, sigmas=[4.0], seeds=[3], per_query=per_query, jobs=jobs) for jobs in (1, 2)
+        run_oracle_experiment(instances, sigmas=[4.0], seeds=[3], jobs=jobs) for jobs in (1, 2)
     ]
     assert rows == rows_2
     assert list(details) == list(details_2)

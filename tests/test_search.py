@@ -38,9 +38,8 @@ BLOCKED = "\n".join(["#####", "#@#X#", "#####"])
 class CountingEvaluator(HeuristicEvaluator):
     """Wraps another evaluator and counts evaluate_batch invocations."""
 
-    def __init__(self, inner, cacheable=True):
+    def __init__(self, inner):
         self.inner = inner
-        self.cacheable = cacheable
         self.batches = 0
 
     def evaluate_batch(self, states, instance, g):
@@ -162,14 +161,11 @@ class ExactMazeHeuristic(HeuristicEvaluator):
 
 def test_one_batch_call_per_expansion(maze_train_150):
     inst = maze_train_150[2]
-    cached = CountingEvaluator(QuickHeuristic(), cacheable=True)
+    cached = CountingEvaluator(QuickHeuristic())
     result = astar(inst, cached)
     # Root evaluation plus at most one batch per expansion; fully-cached
     # expansions skip the call entirely.
     assert cached.batches <= result.expansions + 1
-    uncached = CountingEvaluator(QuickHeuristic(), cacheable=False)
-    result = astar(inst, uncached)
-    assert uncached.batches == result.expansions + 1
 
 
 def test_cache_bounds_heuristic_calls(maze_train_150):
@@ -177,10 +173,6 @@ def test_cache_bounds_heuristic_calls(maze_train_150):
     reachable = len(maze_bfs_distance(inst))
     cached = astar(inst, QuickHeuristic())
     assert cached.heuristic_calls <= reachable
-    uncached = astar(inst, CountingEvaluator(QuickHeuristic(), cacheable=False))
-    assert cached.heuristic_calls <= uncached.heuristic_calls
-    assert cached.path == uncached.path
-    assert cached.closed_length == uncached.closed_length
 
 
 def test_optimal_under_inconsistent_admissible_heuristic(maze_train_150):
@@ -206,23 +198,18 @@ def reference_astar(instance, heuristic, max_iterations=None, tie_break=TieBreak
     """The engine with a separate state-to-h memo and its own expansion
     counter. Returns (result, expansions)."""
     t0 = time.perf_counter()
-    use_cache = getattr(heuristic, "cacheable", True)
     h_seen = {}
     heuristic_calls = 0
 
     def evaluate(states, keys, g):
         nonlocal heuristic_calls
-        if use_cache:
-            miss = [(s, k) for s, k in zip(states, keys) if k not in h_seen]
-            if miss:
-                values = heuristic.evaluate_batch([s for s, _ in miss], instance, g)
-                heuristic_calls += len(miss)
-                for (_, k), v in zip(miss, values):
-                    h_seen[k] = float(v)
-            return [h_seen[k] for k in keys]
-        values = heuristic.evaluate_batch(list(states), instance, g)
-        heuristic_calls += len(states)
-        return [float(v) for v in values]
+        miss = [(s, k) for s, k in zip(states, keys) if k not in h_seen]
+        if miss:
+            values = heuristic.evaluate_batch([s for s, _ in miss], instance, g)
+            heuristic_calls += len(miss)
+            for (_, k), v in zip(miss, values):
+                h_seen[k] = float(v)
+        return [h_seen[k] for k in keys]
 
     if tie_break is TieBreak.LARGER_G:
         entry = lambda node: (node.f, -node.g, -node.seq, node)
@@ -277,7 +264,6 @@ class RecordingEvaluator(HeuristicEvaluator):
 
     def __init__(self, inner):
         self.inner = inner
-        self.cacheable = inner.cacheable
         self.calls = []
 
     def evaluate_batch(self, states, instance, g):
@@ -315,14 +301,12 @@ def _evaluator_factories(inst):
         "quick": QuickHeuristic,
         "zero": ZeroHeuristic,
         "hash_scaled_quick": HashScaledQuick,
-        "quick_uncached": lambda: CountingEvaluator(QuickHeuristic(), cacheable=False),
     }
     if inst.domain is domains.Domain.MAZE:
         factories["hash_noise"] = lambda: HashNoiseHeuristic(inst)
         tables = oracle_tables([inst])
-        for per_query in (False, True):
-            spec = NoiseSpec(sigma=3.0, oracle_sections="middle", noise_seed=11, per_query=per_query)
-            factories[f"noisy_oracle_per_query_{per_query}"] = lambda spec=spec: NoisyOracle(spec, tables)
+        spec = NoiseSpec(sigma=3.0, oracle_sections="middle", noise_seed=11)
+        factories["noisy_oracle"] = lambda: NoisyOracle(spec, tables)
     return factories
 
 
@@ -359,9 +343,8 @@ class PairedEvaluator(HeuristicEvaluator):
     keys. Lockstep rows carry no depth, so the inner evaluator is asked at
     depth 0."""
 
-    def __init__(self, make, cacheable):
+    def __init__(self, make):
         self.make = make  # instance -> evaluator
-        self.cacheable = cacheable
         self.inner = {}
         self.calls = {}
 
@@ -380,25 +363,24 @@ class PairedEvaluator(HeuristicEvaluator):
 def test_lockstep_matches_reference_engine_search_by_search():
     # Every search driven in lockstep, on all three domains at once, sees the
     # requests and values it would see alone: same results and, per search,
-    # the same sequence of non-empty evaluation requests. There are more
-    # instances than LOCKSTEP, so finished searches hand their places on.
+    # the same sequence of evaluation requests. There are more instances
+    # than LOCKSTEP, so finished searches hand their places on.
     instances = _random_instances()
     assert len(instances) > LOCKSTEP
     makers = {
-        "quick": (lambda inst: QuickHeuristic(), True),
-        "hash_scaled_quick": (lambda inst: HashScaledQuick(), True),
-        "quick_uncached": (lambda inst: QuickHeuristic(), False),
+        "quick": lambda inst: QuickHeuristic(),
+        "hash_scaled_quick": lambda inst: HashScaledQuick(),
     }
-    for name, (make, cacheable) in makers.items():
+    for name, make in makers.items():
         for tie_break in TieBreak:
             for limit in (None, 3000, 25):
                 subset = [inst for inst in instances if limit is not None or inst.domain is domains.Domain.MAZE]
                 wanted = []
                 for inst in subset:
-                    theirs = RecordingEvaluator(CountingEvaluator(make(inst), cacheable))
+                    theirs = RecordingEvaluator(make(inst))
                     want, _ = reference_astar(inst, theirs, limit, tie_break)
-                    wanted.append((want, [keys for keys, _ in theirs.calls if keys]))
-                paired = PairedEvaluator(make, cacheable)
+                    wanted.append((want, [keys for keys, _ in theirs.calls]))
+                paired = PairedEvaluator(make)
                 got = lockstep(subset, paired, limit, tie_break)
                 assert len(got) == len(subset)
                 for i, (inst, (_, res), (want, requests)) in enumerate(zip(subset, got, wanted)):
@@ -436,7 +418,7 @@ def test_wall_time_is_the_charged_evaluator_time(monkeypatch):
     instances = generation.build_maze_split("test_iid", 3, scale=0.014)
     assert len(instances) == 7
     monkeypatch.setattr(evaluation, "LOCKSTEP", 4)
-    paired = PairedEvaluator(lambda inst: QuickHeuristic(), True)
+    paired = PairedEvaluator(lambda inst: QuickHeuristic())
     real = lockstep(instances, paired) + [("alone", astar(instances[0], QuickHeuristic()))]
     clock = RowClock()
     monkeypatch.setattr(time, "perf_counter", clock)
@@ -475,15 +457,19 @@ def test_engine_reads_no_clock(monkeypatch):
     assert got.wall_time == 0.0
 
 
-def test_uncacheable_evaluator_called_once_per_expansion_even_when_empty():
-    # The start cell has no open neighbour, so its expansion has no children;
-    # an uncacheable evaluator is still asked, with an empty batch.
+def test_an_expansion_without_children_asks_nothing():
+    # The start cell has no open neighbour, so its expansion has no children:
+    # the evaluator is asked exactly once, for the root, by astar and by lockstep,
+    # and never with an empty batch.
     inst = maze.parse_ascii(BLOCKED)
-    evaluator = RecordingEvaluator(CountingEvaluator(QuickHeuristic(), cacheable=False))
+    evaluator = RecordingEvaluator(QuickHeuristic())
     result = astar(inst, evaluator)
-    assert result.status is Status.FRONTIER_EXHAUSTED
-    assert len(evaluator.calls) == result.closed_length + 1
-    assert evaluator.calls[-1] == ([], 1)
+    assert (result.status, result.closed_length) == (Status.FRONTIER_EXHAUSTED, 1)
+    assert evaluator.calls == [([inst.start_state.key()], 0)]
+    paired = PairedEvaluator(lambda inst: QuickHeuristic())
+    [(_, result)] = lockstep([inst], paired)
+    assert (result.status, result.closed_length) == (Status.FRONTIER_EXHAUSTED, 1)
+    assert paired.calls == {id(inst): [[inst.start_state.key()]]}
 
 
 class SlackedExact(HeuristicEvaluator):
